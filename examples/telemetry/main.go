@@ -47,11 +47,11 @@ func main() {
 	decisions := map[int]int{}
 	tel2 := biglittle.NewTelemetry()
 	tel2.MaxEvents = -1 // unbounded buffer (short run)
-	tel2.OnEvent = func(ev biglittle.TelemetryEvent) {
+	tel2.OnEvent(func(ev biglittle.TelemetryEvent) {
 		if ev.Kind == biglittle.EvGovernor {
 			decisions[ev.Cluster]++
 		}
-	}
+	})
 	cfg.Telemetry = tel2
 	biglittle.Run(cfg)
 	fmt.Printf("\ngovernor decisions per cluster (streaming count): %v\n", decisions)

@@ -14,8 +14,8 @@
 //
 // The auditor is a pure observer: it schedules its own 10 ms sampling event
 // immediately after the metrics sampler's so both read identical state, it
-// chains (never replaces) the scheduler's TickHook and the telemetry
-// OnEvent subscriber, and it never mutates the system — an audited run
+// subscribes to the scheduler tick and the telemetry event stream alongside
+// any other observers, and it never mutates the system — an audited run
 // produces byte-identical results to an unaudited one, which internal/lab's
 // audit mode exploits to verify cached results against fresh simulations.
 package check
@@ -139,8 +139,8 @@ func New() *Auditor { return &Auditor{} }
 // metrics sampler's Start and before any workload is built, so the auditor's
 // 10 ms sampling event fires immediately after the sampler's at every shared
 // timestamp and both observe identical frequency and busy-time state
-// (core.Run and session.NewLive do this via the Config.Check hook). Safe on
-// nil; a second Attach is ignored.
+// (core's simulation assembly does this via Config.Check, for single runs
+// and sessions alike). Safe on nil; a second Attach is ignored.
 func (a *Auditor) Attach(sys *sched.System, pw power.Params) {
 	if a == nil || a.sys != nil {
 		return
@@ -153,28 +153,14 @@ func (a *Auditor) Attach(sys *sched.System, pw power.Params) {
 	a.tickBusy = make([]event.Time, n)
 
 	// Migration reconciliation and event validation need the scheduler's
-	// telemetry stream. Chain onto an existing collector; if the run has
+	// telemetry stream. Subscribe to an existing collector; if the run has
 	// none, install a minimal one (exact aggregates, tiny ring). Emission is
 	// pure recording, so this does not perturb the simulation.
 	if sys.Tel == nil {
 		sys.Tel = &telemetry.Collector{MaxEvents: 1}
 	}
-	tel := sys.Tel
-	prevOn := tel.OnEvent
-	tel.OnEvent = func(ev telemetry.Event) {
-		a.onEvent(ev)
-		if prevOn != nil {
-			prevOn(ev)
-		}
-	}
-
-	prevTick := sys.TickHook
-	sys.TickHook = func(now event.Time) {
-		a.onTick(now)
-		if prevTick != nil {
-			prevTick(now)
-		}
-	}
+	sys.Tel.OnEvent(a.onEvent)
+	sys.OnTick(a.onTick)
 
 	a.sampleFn = a.onSample
 	sys.Eng.After(metrics.SampleInterval, a.sampleFn)

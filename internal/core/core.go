@@ -122,27 +122,29 @@ type Config struct {
 	// throttling governor.
 	Thermal *thermal.Params
 
-	// Telemetry, when non-nil, is attached to every subsystem for the run:
-	// the scheduler emits migration/wake/preempt/boost events, the governor
-	// its frequency decisions, the thermal model throttle steps, hotplug
-	// transitions are recorded, and the 10 ms sampler publishes power
-	// snapshots. Latency and frame-time distributions land in the
+	// Telemetry, when non-nil, is installed on the run's scheduler system,
+	// the one place every subsystem emits through: the scheduler emits
+	// migration/wake/preempt/boost events, the governor its frequency
+	// decisions, the thermal model throttle steps, hotplug transitions are
+	// recorded, and the 10 ms sampler publishes power snapshots. Latency and frame-time distributions land in the
 	// "latency_ms" and "frame_time_ms" histograms. Nil (the default)
 	// disables all recording at near-zero cost.
 	Telemetry *telemetry.Collector
 
-	// Profiler, when non-nil, attributes the run to individual tasks:
-	// run/wait/sleep time split by core type, per-(core type, MHz) frequency
-	// residency, each power interval's energy split across the tasks that
-	// ran in it, and migration accounting. Result.Profile carries the final
+	// Profiler, when non-nil, is installed on the scheduler system beside
+	// Telemetry and attributes the run to individual tasks: run/wait/sleep
+	// time split by core type, per-(core type, MHz) frequency residency,
+	// each power interval's energy split across the tasks that ran in it,
+	// and migration accounting. Result.Profile carries the final
 	// snapshot. Nil (the default) disables attribution at near-zero cost.
 	Profiler *profile.Profiler
 
-	// Xray, when non-nil, is the causal decision tracer for the run: the
-	// scheduler records every wake placement and migration with its full
-	// candidate set and rejection reasons, the governor every frequency step
-	// with the per-core demands, the thermal model every cap step, and
-	// hotplug transitions — all causally linked into walkable chains (see
+	// Xray, when non-nil, is the causal decision tracer for the run,
+	// installed on the scheduler system like Telemetry: the scheduler
+	// records every wake placement and migration with its full candidate set
+	// and rejection reasons, the governor every frequency step with the
+	// per-core demands, the thermal model every cap step, and hotplug
+	// transitions — all causally linked into walkable chains (see
 	// internal/xray). Like Telemetry and Profiler, it is a pure observer: a
 	// traced run produces byte-identical results, and nil (the default)
 	// disables tracing at one pointer check per decision.
@@ -180,9 +182,10 @@ type Config struct {
 	OnSnapshot func(st *snapshot.State)
 }
 
-// Checker is the runtime invariant auditor hook. *check.Auditor implements
-// it; the interface is declared structurally here so internal/check can
-// depend on this package's Result without an import cycle.
+// Checker is the runtime invariant auditor hook, for single runs and
+// sessions alike. *check.Auditor implements it; the interface is declared
+// structurally here so internal/check can depend on this package's Result
+// without an import cycle.
 type Checker interface {
 	// Attach installs the checker on the assembled system. Run calls it
 	// immediately after the metrics sampler starts (and before the thermal

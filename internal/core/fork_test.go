@@ -218,7 +218,8 @@ func TestSnapshotAtConfig(t *testing.T) {
 }
 
 // TestResumeCompat pins the loud-rejection surface: wrong identity fields,
-// incompatible observer hooks, and session checkpoints all refuse to resume.
+// incompatible observer hooks, and unknown workload-log records all refuse
+// to resume.
 func TestResumeCompat(t *testing.T) {
 	cfg := shortCfg(apps.Browser())
 	sim, err := NewSim(cfg)
@@ -247,11 +248,11 @@ func TestResumeCompat(t *testing.T) {
 		}
 	}
 
-	// A session-style checkpoint (phase marker in the log) must be refused.
+	// A log carrying a record kind this binary does not know must be refused.
 	st2 := *st
-	st2.Workload.Log = append([]workload.Record{{Kind: workload.RecPhase, App: "x"}}, st.Workload.Log...)
+	st2.Workload.Log = append([]workload.Record{{Kind: workload.RecKind(4)}}, st.Workload.Log...)
 	if _, err := Resume(cfg, &st2); err == nil {
-		t.Error("Resume accepted a session checkpoint")
+		t.Error("Resume accepted a log with an unknown record kind")
 	}
 
 	// NewSim must reject configs whose observers cannot be captured.

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"biglittle/internal/altsched"
+	"biglittle/internal/apps"
 	"biglittle/internal/event"
 	"biglittle/internal/governor"
 	"biglittle/internal/metrics"
@@ -28,7 +29,8 @@ type gov interface {
 // it forward in steps with RunTo, capture a whole-simulation snapshot
 // between steps, and Finish to collect the Result. Run is assembly plus
 // run-to-end; NewSim/Resume expose the stepping for snapshot/fork
-// (DESIGN.md §9).
+// (DESIGN.md §9), and Assemble/BuildPhase the phase-by-phase workload builds
+// of a multi-app session.
 type Sim struct {
 	cfg      Config
 	eng      *event.Engine
@@ -38,14 +40,36 @@ type Sim struct {
 	gov      gov
 	sampler  *metrics.Sampler
 	therm    *thermal.Model
+	rng      *rand.Rand // one source for every workload built on the sim
 	ctx      *workload.Ctx
 	finished bool
 }
 
-// newSim assembles the platform, policies, observers, and workload exactly
-// as Run always has. rec, when non-nil, interposes workload recording for
-// snapshot capture (or replay, when resuming).
+// newSim assembles cfg and builds its app's workload for the whole run.
+// rec, when non-nil, interposes workload recording for snapshot capture (or
+// replay, when resuming).
 func newSim(cfg Config, rec *workload.Recorder) *Sim {
+	s := assemble(cfg)
+	s.ctx = s.build(cfg.App, cfg.Duration, rec)
+	return s
+}
+
+// Assemble builds cfg's platform, scheduling and frequency policies, metrics
+// sampler, thermal model, and observers, but no workload: the caller adds
+// workloads with BuildPhase and advances the clock with RunTo (up to
+// cfg.Duration). cfg.App and the snapshot fields are ignored. This is how a
+// multi-app session runs its phases on one continuous platform; Finish is
+// for single-app runs and must not be called on an assembled Sim.
+func Assemble(cfg Config) *Sim {
+	return assemble(cfg.Normalized())
+}
+
+// assemble wires one simulation in a fixed order — the scheduler, the
+// mapping policy, the governor, the sampler, the auditor, the thermal model,
+// the digest recorder, then OnSystem — so engine events at equal timestamps
+// always fire in the same order. The observers live on the scheduler
+// system, where every subsystem reads them.
+func assemble(cfg Config) *Sim {
 	eng := event.New()
 	var soc *platform.SoC
 	switch {
@@ -60,9 +84,7 @@ func newSim(cfg Config, rec *workload.Recorder) *Sim {
 		panic(err) // configurations are validated values; misuse is a bug
 	}
 	sys := sched.New(eng, soc, cfg.Sched)
-	sys.Tel = cfg.Telemetry
-	sys.Prof = cfg.Profiler
-	sys.Xray = cfg.Xray
+	sys.Tel, sys.Prof, sys.Xray = cfg.Telemetry, cfg.Profiler, cfg.Xray
 	pw := cfg.Power
 	sys.EnergyModel = func(typ platform.CoreType, mhz int) float64 {
 		return pw.CorePowerMW(typ, mhz, 1) - pw.CorePowerMW(typ, mhz, 0)
@@ -88,33 +110,18 @@ func newSim(cfg Config, rec *workload.Recorder) *Sim {
 	case Userspace:
 		sim.gov = governor.NewUserspace(sys, cfg.PinnedMHz)
 	case Ondemand:
-		g := governor.NewOndemand(sys, cfg.Gov.SampleMs, 80)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		sim.gov = governor.NewOndemand(sys, cfg.Gov.SampleMs, 80)
 	case Conservative:
-		g := governor.NewConservative(sys, cfg.Gov.SampleMs, 80, 35)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		sim.gov = governor.NewConservative(sys, cfg.Gov.SampleMs, 80, 35)
 	case PAST:
-		g := governor.NewPAST(sys, cfg.Gov.SampleMs)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		sim.gov = governor.NewPAST(sys, cfg.Gov.SampleMs)
 	default:
-		g := governor.NewInteractive(sys, cfg.Gov)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		sim.gov = governor.NewInteractive(sys, cfg.Gov)
 	}
 	sim.gov.Start()
 
-	sampler := metrics.NewSampler(sys, cfg.Power)
-	sampler.Tel = cfg.Telemetry
-	sampler.Prof = cfg.Profiler
-	sampler.Start()
-	sim.sampler = sampler
+	sim.sampler = metrics.NewSampler(sys, cfg.Power)
+	sim.sampler.Start()
 
 	// The auditor attaches directly after the sampler so its sampling events
 	// always fire right after the sampler's and both read identical state.
@@ -124,36 +131,65 @@ func newSim(cfg Config, rec *workload.Recorder) *Sim {
 
 	if cfg.Thermal != nil {
 		sim.therm = thermal.Attach(sys, cfg.Power, *cfg.Thermal)
-		sim.therm.Tel = cfg.Telemetry
-		sim.therm.Xray = cfg.Xray
 		sim.therm.Start()
 	}
 
-	// The digest recorder attaches last among the tick observers so its fold
-	// sees the run fully assembled (thermal model included) and runs after
-	// any hooks the subsystems above installed.
-	cfg.Digest.Attach(sys, sampler, sim.therm, cfg.Duration)
+	// The digest recorder subscribes last among the tick observers so its
+	// fold sees the run fully assembled (thermal model included).
+	cfg.Digest.Attach(sys, sim.sampler, sim.therm, cfg.Duration)
 
 	if cfg.OnSystem != nil {
 		cfg.OnSystem(sys)
 	}
+	sim.rng = rand.New(rand.NewSource(cfg.Seed))
+	return sim
+}
 
-	sim.ctx = &workload.Ctx{
-		Eng:      eng,
-		Sys:      sys,
-		Rng:      rand.New(rand.NewSource(cfg.Seed)),
-		Duration: cfg.Duration,
+// BuildPhase builds app's workload from the current clock, with its
+// generators stopping at end. Every phase draws from the sim's one random
+// source, so a phase's workload depends on the phases before it. With
+// Telemetry set, interaction latencies land in the "latency_ms" histogram.
+func (s *Sim) BuildPhase(app apps.App, end event.Time) *workload.Ctx {
+	return s.build(app, end, nil)
+}
+
+func (s *Sim) build(app apps.App, end event.Time, rec *workload.Recorder) *workload.Ctx {
+	ctx := &workload.Ctx{
+		Eng:      s.eng,
+		Sys:      s.sys,
+		Rng:      s.rng,
+		Duration: end,
 		FPS:      &metrics.FPSTracker{},
 		Lat:      &metrics.LatencyTracker{},
 		Rec:      rec,
 	}
-	if tel := cfg.Telemetry; tel != nil {
+	if tel := s.cfg.Telemetry; tel != nil {
 		lat := tel.Histogram("latency_ms")
-		sim.ctx.Lat.Observe = func(d event.Time) { lat.Observe(d.Milliseconds()) }
+		ctx.Lat.Observe = func(d event.Time) { lat.Observe(d.Milliseconds()) }
 	}
-	cfg.App.Build(sim.ctx)
-	return sim
+	app.Build(ctx)
+	return ctx
 }
+
+// EndPhase records a finished workload's frame intervals in the
+// "frame_time_ms" telemetry histogram (a no-op without Telemetry).
+func (s *Sim) EndPhase(ctx *workload.Ctx) {
+	tel := s.cfg.Telemetry
+	if tel == nil {
+		return
+	}
+	ft := tel.Histogram("frame_time_ms")
+	times := ctx.FPS.Times()
+	for i := 1; i < len(times); i++ {
+		ft.Observe((times[i] - times[i-1]).Milliseconds())
+	}
+}
+
+// Sampler returns the sim's metrics sampler.
+func (s *Sim) Sampler() *metrics.Sampler { return s.sampler }
+
+// Thermal returns the sim's thermal model (nil without Config.Thermal).
+func (s *Sim) Thermal() *thermal.Model { return s.therm }
 
 // NewSim assembles a snapshot-capable simulation: the workload's
 // interactions are recorded from the first event, so Snapshot can capture
@@ -275,11 +311,6 @@ func compat(cfg Config, st *snapshot.State) error {
 		return fmt.Errorf("core: resume and snapshot disagree on custom platform use")
 	case cfg.Duration < st.Time:
 		return fmt.Errorf("core: resume duration %v precedes the capture point %v", cfg.Duration, st.Time)
-	}
-	for _, r := range st.Workload.Log {
-		if r.Kind == workload.RecPhase {
-			return fmt.Errorf("core: snapshot is a live-session checkpoint (phase %q) — sessions cannot be resumed by core.Resume", r.App)
-		}
 	}
 	return nil
 }
@@ -428,14 +459,7 @@ func (s *Sim) Finish() Result {
 	}
 	s.finished = true
 	cfg, ctx, sampler, soc, sys, therm := s.cfg, s.ctx, s.sampler, s.soc, s.sys, s.therm
-
-	if tel := cfg.Telemetry; tel != nil {
-		ft := tel.Histogram("frame_time_ms")
-		times := ctx.FPS.Times()
-		for i := 1; i < len(times); i++ {
-			ft.Observe((times[i] - times[i-1]).Milliseconds())
-		}
-	}
+	s.EndPhase(ctx)
 
 	res := Result{
 		App:       cfg.App.Name,

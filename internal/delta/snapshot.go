@@ -33,8 +33,8 @@ func (r *Recorder) Snapshot() Snap {
 	}
 }
 
-// Restore loads sn into a freshly Attached recorder (which installed the
-// TickHook and resolved the window from the same config).
+// Restore loads sn into a freshly Attached recorder (which subscribed to the
+// scheduler tick and resolved the window from the same config).
 func (r *Recorder) Restore(sn *Snap) error {
 	if r.sys == nil {
 		return fmt.Errorf("delta: restore before Attach")

@@ -12,16 +12,12 @@ import (
 
 // loadSampler is the shared skeleton of the load-tracking governors: every
 // sample period it computes each online core's utilization and programs the
-// cluster to the maximum of a per-core policy function's targets.
+// cluster to the maximum of a per-core policy function's targets. Each
+// frequency change is reported through the system's observers: a
+// KindGovernor telemetry event (Reason the governor's name, Value the
+// triggering utilization percent) and an xray span with the per-core
+// utilizations and targets as candidates.
 type loadSampler struct {
-	// Tel, when non-nil, receives a KindGovernor event for each frequency
-	// change decision; Reason carries the governor's name and Value the
-	// triggering utilization (percent).
-	Tel *telemetry.Collector
-	// Xray, when non-nil, receives a decision span for every frequency
-	// change with the per-core utilizations and targets as candidates; the
-	// reason is the governor's name. See Interactive.Xray.
-	Xray *xray.Tracer
 	// xrayCands is the scratch candidate buffer, reused across samples.
 	xrayCands []xray.Candidate
 
@@ -57,17 +53,18 @@ func (g *loadSampler) Start() {
 
 func (g *loadSampler) onSample(now event.Time) {
 	g.sys.SyncAll(now)
+	xr := g.sys.Xray
 	for ci := range g.sys.SoC.Clusters {
 		cl := &g.sys.SoC.Clusters[ci]
 		cur := cl.CurMHz
 		best := 0
 		maxUtil := 0.0
-		if g.Xray != nil {
+		if xr != nil {
 			g.xrayCands = g.xrayCands[:0]
 		}
 		for _, id := range cl.CoreIDs {
 			if !g.sys.SoC.Cores[id].Online {
-				if g.Xray != nil {
+				if xr != nil {
 					g.xrayCands = append(g.xrayCands, xray.Candidate{
 						Core: id, Type: g.sys.SoC.Cores[id].Type.String(), Rejected: "offline",
 					})
@@ -84,7 +81,7 @@ func (g *loadSampler) onSample(now event.Time) {
 			if t > best {
 				best = t
 			}
-			if g.Xray != nil {
+			if xr != nil {
 				g.xrayCands = append(g.xrayCands, xray.Candidate{
 					Core: id, Type: g.sys.SoC.Cores[id].Type.String(),
 					QueueLen: g.sys.QueueLen(id), Load: 100 * util, TargetMHz: t,
@@ -97,16 +94,14 @@ func (g *loadSampler) onSample(now event.Time) {
 		if best != cur {
 			got := g.sys.SetClusterFreq(ci, best)
 			if got != cur {
-				if g.Tel != nil {
-					g.Tel.Emit(telemetry.Event{
-						At: now, Kind: telemetry.KindGovernor,
-						Task: -1, Core: -1, FromCore: -1, Cluster: ci,
-						PrevMHz: cur, MHz: got,
-						Reason: g.name, Value: 100 * maxUtil,
-					})
-				}
-				if g.Xray != nil {
-					g.Xray.FreqStep(now, ci, cur, got,
+				g.sys.Tel.Emit(telemetry.Event{
+					At: now, Kind: telemetry.KindGovernor,
+					Task: -1, Core: -1, FromCore: -1, Cluster: ci,
+					PrevMHz: cur, MHz: got,
+					Reason: g.name, Value: 100 * maxUtil,
+				})
+				if xr != nil {
+					xr.FreqStep(now, ci, cur, got,
 						fmt.Sprintf("cluster%d %d -> %d MHz", ci, cur, got), g.name,
 						[]xray.Input{{Name: "max_util_pct", Value: 100 * maxUtil}},
 						markGovernorChoice(g.xrayCands, best))

@@ -55,7 +55,12 @@ func DefaultInteractive() InteractiveConfig {
 	}
 }
 
-// Interactive is the load-tracking DVFS governor.
+// Interactive is the load-tracking DVFS governor. It reports through the
+// observers on its sched.System: every frequency change becomes a
+// KindGovernor telemetry event carrying the triggering utilization (Value,
+// percent) and the reason (hispeed jump, scale-up, scale-down), and an xray
+// span listing each online core's utilization and per-core target (the
+// candidates; the cluster takes the max) and the thresholds compared.
 type Interactive struct {
 	Cfg InteractiveConfig
 
@@ -70,17 +75,9 @@ type Interactive struct {
 	// FreqLog, if set, receives (time, clusterID, newMHz) on every sample
 	// (including unchanged frequencies) for residency accounting.
 	FreqLog func(now event.Time, clusterID, mhz int)
-	// Tel, when non-nil, receives a KindGovernor event for every frequency
-	// change decision, carrying the triggering utilization (Value, percent)
-	// and the reason (hispeed jump, scale-up, scale-down).
-	Tel *telemetry.Collector
-	// Xray, when non-nil, receives a decision span for every frequency
-	// change: each online core's utilization and per-core target (the
-	// candidates; the cluster takes the max), the thresholds compared, and
-	// the reason. Nil disables tracing at one pointer check per sample.
-	Xray *xray.Tracer
-	// xrayCands is the scratch candidate buffer, reused across samples so
-	// tracing only allocates when a span is actually recorded.
+	// xrayCands is the scratch candidate buffer for the system's Xray
+	// tracer, reused across samples so tracing only allocates when a span
+	// is actually recorded.
 	xrayCands []xray.Candidate
 }
 
@@ -132,17 +129,18 @@ func (g *Interactive) hispeed(t platform.CoreType) int {
 
 func (g *Interactive) onSample(now event.Time) {
 	g.sys.SyncAll(now)
+	xr := g.sys.Xray
 	for ci := range g.sys.SoC.Clusters {
 		cl := &g.sys.SoC.Clusters[ci]
 		cur := cl.CurMHz
 		target := 0
 		maxUtil := 0.0
-		if g.Xray != nil {
+		if xr != nil {
 			g.xrayCands = g.xrayCands[:0]
 		}
 		for _, id := range cl.CoreIDs {
 			if !g.sys.SoC.Cores[id].Online {
-				if g.Xray != nil {
+				if xr != nil {
 					g.xrayCands = append(g.xrayCands, xray.Candidate{
 						Core: id, Type: g.sys.SoC.Cores[id].Type.String(), Rejected: "offline",
 					})
@@ -159,7 +157,7 @@ func (g *Interactive) onSample(now event.Time) {
 			if t > target {
 				target = t
 			}
-			if g.Xray != nil {
+			if xr != nil {
 				g.xrayCands = append(g.xrayCands, xray.Candidate{
 					Core: id, Type: g.sys.SoC.Cores[id].Type.String(),
 					QueueLen: g.sys.QueueLen(id), Load: 100 * util, TargetMHz: t,
@@ -204,16 +202,14 @@ func (g *Interactive) onSample(now event.Time) {
 						reason = telemetry.ReasonScaleUp
 					}
 				}
-				if g.Tel != nil {
-					g.Tel.Emit(telemetry.Event{
-						At: now, Kind: telemetry.KindGovernor,
-						Task: -1, Core: -1, FromCore: -1, Cluster: ci,
-						PrevMHz: cur, MHz: newMHz,
-						Reason: reason, Value: 100 * maxUtil,
-					})
-				}
-				if g.Xray != nil {
-					g.Xray.FreqStep(now, ci, cur, newMHz,
+				g.sys.Tel.Emit(telemetry.Event{
+					At: now, Kind: telemetry.KindGovernor,
+					Task: -1, Core: -1, FromCore: -1, Cluster: ci,
+					PrevMHz: cur, MHz: newMHz,
+					Reason: reason, Value: 100 * maxUtil,
+				})
+				if xr != nil {
+					xr.FreqStep(now, ci, cur, newMHz,
 						fmt.Sprintf("cluster%d %d -> %d MHz", ci, cur, newMHz), reason,
 						[]xray.Input{
 							{Name: "max_util_pct", Value: 100 * maxUtil},

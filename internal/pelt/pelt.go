@@ -62,31 +62,6 @@ func (t *Tracker) Update(ranFrac, freqScale float64) {
 	t.load = t.load*t.decay + contrib*(1-t.decay)
 }
 
-// UpdateN applies the same (ranFrac, freqScale) for n consecutive 1 ms
-// periods in O(1), used when a task runs or idles through a long interval.
-func (t *Tracker) UpdateN(n int, ranFrac, freqScale float64) {
-	if n <= 0 {
-		return
-	}
-	if ranFrac < 0 {
-		ranFrac = 0
-	}
-	if ranFrac > 1 {
-		ranFrac = 1
-	}
-	if freqScale < 0 {
-		freqScale = 0
-	}
-	if freqScale > 1 {
-		freqScale = 1
-	}
-	contrib := Scale * ranFrac * freqScale
-	// load' = load·y^n + contrib·(1-y)·(1 + y + ... + y^(n-1))
-	//       = load·y^n + contrib·(1 - y^n)
-	yn := math.Pow(t.decay, float64(n))
-	t.load = t.load*yn + contrib*(1-yn)
-}
-
 // Load returns the tracked load in [0, Scale].
 func (t *Tracker) Load() int { return int(t.load + 0.5) }
 

@@ -183,6 +183,11 @@ type cpu struct {
 }
 
 // System drives task execution over a platform SoC.
+//
+// It is also the one home of the run's observers: Tel, Prof, and Xray are
+// set once at assembly, and every subsystem holding the system (governors,
+// the metrics sampler, the thermal model) emits through them. Pure
+// observers that need a consistent per-tick view subscribe with OnTick.
 type System struct {
 	Eng *event.Engine
 	SoC *platform.SoC
@@ -194,46 +199,45 @@ type System struct {
 	tickFn  event.Handler // onTick bound once; re-arming it must not allocate
 	tickEv  event.Handle  // the pending tick (retained for snapshot capture)
 	started bool
+	// tickSubs run in attach order at the end of every tick (see OnTick).
+	tickSubs []func(now event.Time)
 
 	// Tel, when non-nil, receives a telemetry event for every migration
 	// (with its reason), wake placement, round-robin preemption, boost,
-	// frequency change, and hotplug transition. Nil disables all recording
-	// at the cost of one pointer check per occurrence.
+	// frequency change, and hotplug transition, plus the governor, thermal,
+	// and power-meter events of the subsystems attached to this system. Nil
+	// disables all recording at the cost of one pointer check per
+	// occurrence.
 	Tel *telemetry.Collector
 
 	// Prof, when non-nil, receives per-task attribution streams: every sync
 	// interval's run time (with core type and frequency) and runnable wait,
-	// every wake, and every migration. Nil disables attribution at the cost
-	// of one pointer check per emit site.
+	// every wake, every migration, and the metrics sampler's power
+	// intervals. Nil disables attribution at the cost of one pointer check
+	// per emit site.
 	Prof *profile.Profiler
 
 	// Xray, when non-nil, receives a decision span for every wake placement,
-	// migration, and hotplug transition: the candidate cores considered, the
-	// thresholds compared, and the rejection reason per alternative, causally
-	// linked into chains. Nil disables causal tracing at the cost of one
-	// pointer check per decision (see internal/sched/xray.go).
+	// migration, and hotplug transition — and, through the attached
+	// governor and thermal model, every frequency and cap step: the
+	// candidates considered, the thresholds compared, and the rejection
+	// reason per alternative, causally linked into chains. Nil disables
+	// causal tracing at the cost of one pointer check per decision (see
+	// internal/sched/xray.go).
 	Xray *xray.Tracer
-
-	// TickHook, if set, runs at the end of every scheduler tick (used by
-	// metrics and tests to observe a consistent state).
-	//
-	// Hook-chaining contract (applies to TickHook, MigrateHook, and
-	// WakeHook alike): installing a hook on a system that already has one
-	// MUST save the previous hook and invoke it from the replacement —
-	// hooks form a chain, not a slot. trace.Attach is the reference
-	// implementation. Overwriting without chaining silently detaches
-	// whatever was observing the system before you.
-	TickHook func(now event.Time)
 
 	// MigrateHook, if set, replaces the built-in HMP threshold migration:
 	// it runs every tick after load updates and may call MoveToType to
 	// reassign tasks. Alternative scheduling policies (efficiency-based,
-	// parallelism-aware; §IV-A of the paper) plug in here. See TickHook
-	// for the hook-chaining contract.
+	// parallelism-aware, EAS; §IV-A of the paper) plug in here. It is a
+	// single-owner policy slot, not an observer hook: the policy that sets
+	// it replaces HMP migration, and a later assignment replaces the
+	// earlier policy outright.
 	MigrateHook func(now event.Time)
 	// WakeHook, if set, overrides HMP wake placement: it returns the core
-	// type a waking task should be placed on. Pinned tasks ignore it. See
-	// TickHook for the hook-chaining contract.
+	// type a waking task should be placed on. Pinned tasks ignore it. Like
+	// MigrateHook it is a single-owner policy slot set by the scheduling
+	// policy; observers use OnTick or the telemetry stream instead.
 	WakeHook func(t *Task) platform.CoreType
 
 	// EnergyModel, if set, returns the marginal active power (mW) of a core
@@ -280,6 +284,14 @@ func (s *System) NewTask(name string, speedup float64) *Task {
 	t.wakeFn = func(at event.Time) { s.onDeepWake(t, at) }
 	s.tasks = append(s.tasks, t)
 	return t
+}
+
+// OnTick subscribes fn to the end of every scheduler tick, after accounting,
+// migration, balancing, and dispatch have settled the state. Subscribers run
+// in attach order and cannot be removed, so attaching an observer never
+// disconnects another.
+func (s *System) OnTick(fn func(now event.Time)) {
+	s.tickSubs = append(s.tickSubs, fn)
 }
 
 // Start begins the scheduler tick loop.
@@ -625,8 +637,8 @@ func (s *System) onTick(now event.Time) {
 	for _, c := range s.cpus {
 		s.dispatch(c, now)
 	}
-	if s.TickHook != nil {
-		s.TickHook(now)
+	for _, fn := range s.tickSubs {
+		fn(now)
 	}
 	s.tickEv = s.Eng.After(s.tick, s.tickFn)
 }

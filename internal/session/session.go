@@ -9,15 +9,14 @@ package session
 
 import (
 	"fmt"
-	"math/rand"
 	"text/tabwriter"
 
 	"biglittle/internal/apps"
 	"biglittle/internal/battery"
+	"biglittle/internal/core"
 	"biglittle/internal/delta"
 	"biglittle/internal/event"
 	"biglittle/internal/governor"
-	"biglittle/internal/metrics"
 	"biglittle/internal/platform"
 	"biglittle/internal/power"
 	"biglittle/internal/profile"
@@ -44,39 +43,29 @@ type Config struct {
 	Power  power.Params
 	Pack   battery.Pack
 
-	// Telemetry, when non-nil, receives scheduler/governor/power events for
-	// the whole session, plus the "latency_ms" and "frame_time_ms"
-	// histograms across all phases. Nil disables recording at near-zero
-	// cost.
+	// The observers below go to core's assembly unchanged and behave as the
+	// core.Config fields of the same name, spanning every phase. Nil
+	// disables each at near-zero cost.
+	//
+	// Telemetry also collects the "latency_ms" and "frame_time_ms"
+	// histograms across all phases.
 	Telemetry *telemetry.Collector
-	// Profiler, when non-nil, attributes the whole session to individual
-	// tasks (run/wait time by core type, frequency residency, energy,
-	// migrations). Threads live per phase, so the attribution table carries
-	// every phase's threads side by side.
+	// Profiler attributes the session to individual tasks. Threads live per
+	// phase, so the attribution table carries every phase's threads side by
+	// side.
 	Profiler *profile.Profiler
-	// Thermal, when non-nil, attaches the exponential thermal model and
-	// its throttling governor cap; MaxTempC/ThrottledPct land on Result.
+	// Thermal attaches the exponential thermal model and its throttling
+	// governor cap; MaxTempC/ThrottledPct land on Result.
 	Thermal *thermal.Params
-	// Xray, when non-nil, records causal decision spans (wake placements,
-	// migrations, frequency steps, throttle caps, hotplug) across the whole
-	// session — the flight recorder cmd/blserve serves at /xray. Nil
-	// disables tracing at one pointer check per decision.
+	// Xray records causal decision spans — the flight recorder cmd/blserve
+	// serves at /xray.
 	Xray *xray.Tracer
-	// Check, when non-nil, attaches an invariant auditor (see internal/check)
-	// that observes the whole session and reconciles its totals at the end.
-	Check Checker
-	// Digest, when non-nil, folds the session's state into chained
-	// per-window digests (see internal/delta) — the same cross-run
-	// fingerprint core.Run records, spanning every phase.
+	// Check attaches an invariant auditor (see internal/check) that
+	// reconciles the session's totals once every phase is done.
+	Check core.Checker
+	// Digest folds the session's state into chained per-window digests (see
+	// internal/delta), windowed over the summed phase plan.
 	Digest *delta.Recorder
-}
-
-// Checker is the session-side view of an invariant auditor; *check.Auditor
-// satisfies it. Declared here (identically to core.Checker) so session does
-// not import internal/check, which imports internal/core.
-type Checker interface {
-	Attach(sys *sched.System, pw power.Params)
-	Finish(elapsed event.Time, meterMJ float64)
 }
 
 // DefaultConfig returns a session on the paper's baseline platform with the
@@ -126,7 +115,7 @@ func Run(cfg Config) Result {
 	if len(cfg.Phases) == 0 {
 		return Result{}
 	}
-	l := NewLive(cfg)
+	l := newLive(cfg)
 	l.Advance(l.Duration())
 	return l.Result()
 }
@@ -135,20 +124,15 @@ func Run(cfg Config) Result {
 // sequencing as Run, but the caller controls how far simulated time moves on
 // each Advance call. This is what cmd/blserve drives, pacing simulated time
 // against the wall clock while HTTP handlers read the attached telemetry
-// collector, profiler, and sampler between steps.
+// collector and profiler between steps.
 //
 // Live is not goroutine-safe: Advance and any reads of the attached
 // observers (including Profiler snapshots and telemetry rendering) must be
 // externally serialized.
 type Live struct {
-	Cfg     Config
-	Eng     *event.Engine
-	Sys     *sched.System
-	Sampler *metrics.Sampler
-
+	cfg        Config
+	sim        *core.Sim
 	res        Result
-	therm      *thermal.Model
-	rng        *rand.Rand
 	phaseIdx   int        // index of the phase currently running (or next to build)
 	phaseStart event.Time // start time of phase phaseIdx
 	ctx        *workload.Ctx
@@ -159,129 +143,72 @@ type Live struct {
 }
 
 // NewLive assembles the session platform exactly as Run does and returns it
-// ready to Advance. Zero-valued config fields get the same defaults as Run.
+// ready to Advance. The platform is core's single-run assembly under the
+// paper's baseline policies (HMP scheduler, interactive governor) for the
+// summed phase plan; zero-valued config fields get the same defaults as
+// Run.
 func NewLive(cfg Config) *Live {
-	eng := event.New()
-	soc := platform.Exynos5422()
-	if cfg.Cores.Tiny > 0 {
-		soc = platform.Exynos5422Tiny()
-	}
-	if cfg.Cores == (platform.CoreConfig{}) {
-		cfg.Cores = platform.Baseline()
-	}
-	if err := cfg.Cores.Apply(soc); err != nil {
-		panic(err)
-	}
-	if cfg.Sched == (sched.Config{}) {
-		cfg.Sched = sched.DefaultConfig()
-	}
-	if cfg.Power == (power.Params{}) {
-		cfg.Power = power.Default()
-	}
+	l := newLive(cfg)
+	return &l
+}
+
+// newLive returns the session by value so Run can keep it off the heap.
+func newLive(cfg Config) Live {
 	if cfg.Pack == (battery.Pack{}) {
 		cfg.Pack = battery.GalaxyS5()
 	}
-	sys := sched.New(eng, soc, cfg.Sched)
-	sys.Tel = cfg.Telemetry
-	sys.Prof = cfg.Profiler
-	sys.Xray = cfg.Xray
-	sys.Start()
-	g := governor.NewInteractive(sys, cfg.Gov)
-	g.Tel = cfg.Telemetry
-	g.Xray = cfg.Xray
-	g.Start()
-	sampler := metrics.NewSampler(sys, cfg.Power)
-	sampler.Tel = cfg.Telemetry
-	sampler.Prof = cfg.Profiler
-	sampler.Start()
-
-	// As in core.Run, the auditor attaches directly after the sampler so its
-	// sampling events always fire right after the sampler's and both read
-	// identical state.
-	if cfg.Check != nil {
-		cfg.Check.Attach(sys, cfg.Power)
-	}
-
-	var therm *thermal.Model
-	if cfg.Thermal != nil {
-		therm = thermal.Attach(sys, cfg.Power, *cfg.Thermal)
-		therm.Tel = cfg.Telemetry
-		therm.Xray = cfg.Xray
-		therm.Start()
-	}
-
-	// As in core.Run, the digest recorder attaches last among the tick
-	// observers; the window default derives from the summed phase plan.
-	var total event.Time
-	for _, p := range cfg.Phases {
-		total += p.Duration
-	}
-	cfg.Digest.Attach(sys, sampler, therm, total)
-
-	l := &Live{Cfg: cfg, Eng: eng, Sys: sys, Sampler: sampler, therm: therm}
-	l.rngInit()
-	if len(cfg.Phases) == 0 {
-		l.done = true
-	}
+	l := Live{cfg: cfg, done: len(cfg.Phases) == 0}
+	l.res.Phases = make([]PhaseResult, 0, len(cfg.Phases))
+	l.sim = core.Assemble(core.Config{
+		Seed:      cfg.Seed,
+		Duration:  l.Duration(),
+		Cores:     cfg.Cores,
+		Sched:     cfg.Sched,
+		Scheduler: core.HMP,
+		Governor:  core.Interactive,
+		Gov:       cfg.Gov,
+		Power:     cfg.Power,
+		Thermal:   cfg.Thermal,
+		Telemetry: cfg.Telemetry,
+		Profiler:  cfg.Profiler,
+		Xray:      cfg.Xray,
+		Check:     cfg.Check,
+		Digest:    cfg.Digest,
+	})
 	return l
-}
-
-// rng is stored on the first phase ctx; keep one source for the session.
-func (l *Live) rngInit() {
-	l.ctx = nil
-	l.rng = rand.New(rand.NewSource(l.Cfg.Seed))
 }
 
 // Duration returns the total session length (the sum of phase durations).
 func (l *Live) Duration() event.Time {
 	var d event.Time
-	for _, ph := range l.Cfg.Phases {
+	for _, ph := range l.cfg.Phases {
 		d += ph.Duration
 	}
 	return d
 }
 
 // Now returns the current simulated time.
-func (l *Live) Now() event.Time { return l.Eng.Now() }
+func (l *Live) Now() event.Time { return l.sim.Now() }
 
 // Done reports whether every phase has completed.
 func (l *Live) Done() bool { return l.done }
 
 // Phase returns the name of the phase currently running ("" when done).
 func (l *Live) Phase() string {
-	if l.done || l.phaseIdx >= len(l.Cfg.Phases) {
+	if l.done || l.phaseIdx >= len(l.cfg.Phases) {
 		return ""
 	}
-	return l.Cfg.Phases[l.phaseIdx].App.Name
-}
-
-// buildPhase constructs the current phase's workload at its start time,
-// mirroring one loop iteration of the original Run.
-func (l *Live) buildPhase() {
-	ph := l.Cfg.Phases[l.phaseIdx]
-	phaseEnd := l.phaseStart + ph.Duration
-	l.ctx = &workload.Ctx{
-		Eng:      l.Eng,
-		Sys:      l.Sys,
-		Rng:      l.rng,
-		Duration: phaseEnd,
-		FPS:      &metrics.FPSTracker{},
-		Lat:      &metrics.LatencyTracker{},
-	}
-	if tel := l.Cfg.Telemetry; tel != nil {
-		lat := tel.Histogram("latency_ms")
-		l.ctx.Lat.Observe = func(d event.Time) { lat.Observe(d.Milliseconds()) }
-	}
-	ph.App.Build(l.ctx)
+	return l.cfg.Phases[l.phaseIdx].App.Name
 }
 
 // finishPhase captures the completed phase's metrics (energy delta, big-core
 // share, performance) into the session result.
 func (l *Live) finishPhase() {
-	ph := l.Cfg.Phases[l.phaseIdx]
+	ph := l.cfg.Phases[l.phaseIdx]
 	ctx := l.ctx
+	sampler := l.sim.Sampler()
 
-	energy := l.Sampler.EnergyMJ()
+	energy := sampler.EnergyMJ()
 	dE := (energy - l.prevEnergy) / 1000
 	l.prevEnergy = energy
 
@@ -289,7 +216,7 @@ func (l *Live) finishPhase() {
 	big, active := 0, 0
 	for b := 0; b <= 4; b++ {
 		for lc := 0; lc <= 4; lc++ {
-			n := l.Sampler.Matrix[b][lc]
+			n := sampler.Matrix[b][lc]
 			if b == 0 && lc == 0 {
 				continue
 			}
@@ -305,20 +232,14 @@ func (l *Live) finishPhase() {
 	}
 	l.prevBig, l.prevActive = big, active
 
-	if tel := l.Cfg.Telemetry; tel != nil {
-		ft := tel.Histogram("frame_time_ms")
-		times := ctx.FPS.Times()
-		for i := 1; i < len(times); i++ {
-			ft.Observe((times[i] - times[i-1]).Milliseconds())
-		}
-	}
+	l.sim.EndPhase(ctx)
 
 	l.res.Phases = append(l.res.Phases, PhaseResult{
 		App:          ph.App.Name,
 		Duration:     ph.Duration,
 		AvgPowerMW:   dE * 1000 / ph.Duration.Seconds(),
 		EnergyJ:      dE,
-		DrainPct:     l.Cfg.Pack.DrainPct(dE * 1000),
+		DrainPct:     l.cfg.Pack.DrainPct(dE * 1000),
 		AvgFPS:       ctx.FPS.Avg(ph.Duration),
 		Interactions: ctx.Lat.N,
 		MeanLatency:  ctx.Lat.Mean(),
@@ -340,16 +261,17 @@ func (l *Live) Advance(to event.Time) bool {
 	if max := l.Duration(); to > max {
 		to = max
 	}
-	for l.phaseIdx < len(l.Cfg.Phases) {
-		phaseEnd := l.phaseStart + l.Cfg.Phases[l.phaseIdx].Duration
+	for l.phaseIdx < len(l.cfg.Phases) {
+		ph := l.cfg.Phases[l.phaseIdx]
+		phaseEnd := l.phaseStart + ph.Duration
 		if l.ctx == nil {
-			l.buildPhase()
+			l.ctx = l.sim.BuildPhase(ph.App, phaseEnd)
 		}
 		target := to
 		if phaseEnd < target {
 			target = phaseEnd
 		}
-		l.Eng.Run(target)
+		l.sim.RunTo(target)
 		if target < phaseEnd {
 			return false // mid-phase: resume here on the next Advance
 		}
@@ -357,23 +279,23 @@ func (l *Live) Advance(to event.Time) bool {
 		l.ctx = nil
 		l.phaseStart = phaseEnd
 		l.phaseIdx++
-		if phaseEnd >= to && l.phaseIdx < len(l.Cfg.Phases) {
+		if phaseEnd >= to && l.phaseIdx < len(l.cfg.Phases) {
 			return false
 		}
 	}
 	l.done = true
-	l.res.TotalDrainPct = l.Cfg.Pack.DrainPct(l.res.TotalEnergyJ * 1000)
+	l.res.TotalDrainPct = l.cfg.Pack.DrainPct(l.res.TotalEnergyJ * 1000)
 	if l.res.Duration > 0 {
 		l.res.AvgPowerMW = l.res.TotalEnergyJ * 1000 / l.res.Duration.Seconds()
 	}
-	if l.therm != nil {
-		l.res.MaxTempC = l.therm.MaxTempC
-		l.res.ThrottledPct = l.therm.ThrottledPct(l.res.Duration)
+	if therm := l.sim.Thermal(); therm != nil {
+		l.res.MaxTempC = therm.MaxTempC
+		l.res.ThrottledPct = therm.ThrottledPct(l.res.Duration)
 	}
 	// Finish after the result is final so reconciliation can never perturb
 	// what the caller observes.
-	if l.Cfg.Check != nil {
-		l.Cfg.Check.Finish(l.res.Duration, l.Sampler.EnergyMJ())
+	if l.cfg.Check != nil {
+		l.cfg.Check.Finish(l.res.Duration, l.sim.Sampler().EnergyMJ())
 	}
 	return true
 }

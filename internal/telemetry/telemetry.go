@@ -167,9 +167,8 @@ type Collector struct {
 	// negative means unbounded). Aggregates are exact regardless.
 	MaxEvents int
 
-	// OnEvent, if set, additionally receives every emitted event — a
-	// streaming subscriber for exporters that do not want buffering.
-	OnEvent func(Event)
+	// subs receive every emitted event in attach order (see OnEvent).
+	subs []func(Event)
 
 	events  []Event
 	head    int // ring start once the buffer is full
@@ -235,9 +234,21 @@ func (c *Collector) Emit(ev Event) {
 		c.head = (c.head + 1) % max
 		c.dropped++
 	}
-	if c.OnEvent != nil {
-		c.OnEvent(ev)
+	for _, fn := range c.subs {
+		fn(ev)
 	}
+}
+
+// OnEvent subscribes fn to every event emitted from now on — a streaming
+// subscriber for exporters and checkers that do not want buffering.
+// Subscribers run in attach order after the event is recorded and cannot be
+// removed, so attaching one never disconnects another. Safe on nil (a nil
+// collector emits nothing).
+func (c *Collector) OnEvent(fn func(Event)) {
+	if c == nil {
+		return
+	}
+	c.subs = append(c.subs, fn)
 }
 
 // Events returns the buffered events in emission order (a copy).

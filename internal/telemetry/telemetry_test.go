@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -106,12 +107,19 @@ func TestFreqTransitions(t *testing.T) {
 func TestOnEventSubscriber(t *testing.T) {
 	c := NewCollector()
 	var seen []Kind
-	c.OnEvent = func(ev Event) { seen = append(seen, ev.Kind) }
+	var order []int
+	c.OnEvent(func(ev Event) { seen = append(seen, ev.Kind); order = append(order, 1) })
+	c.OnEvent(func(Event) { order = append(order, 2) })
 	c.Emit(migAt(0, ReasonUpThreshold))
 	c.Emit(Event{Kind: KindBoost, Task: 1, Core: 0, FromCore: -1, Cluster: -1})
 	if len(seen) != 2 || seen[0] != KindMigration || seen[1] != KindBoost {
 		t.Fatalf("subscriber saw %v", seen)
 	}
+	if fmt.Sprint(order) != "[1 2 1 2]" {
+		t.Fatalf("subscribers ran in order %v, want attach order per event", order)
+	}
+	var nilC *Collector
+	nilC.OnEvent(func(Event) {}) // nil collector: no-op
 }
 
 func TestInstruments(t *testing.T) {

@@ -53,20 +53,16 @@ func Default() Params {
 }
 
 // Model tracks per-cluster temperature and applies throttling.
+//
+// It reports through the observers on its sched.System: every cap step is a
+// KindThrottle telemetry event (Reason throttle/release, MHz the new cap
+// with 0 = fully released, Value the cluster temperature) and an xray span
+// with the cluster temperature against the trip/clear points, the watts
+// that drove it, and the previous cap, linked causally to the cluster's
+// last governor step. Emergency hotplug transitions are emitted by
+// sched.SetCoreOnline as KindHotplug events.
 type Model struct {
 	Par Params
-
-	// Tel, when non-nil, receives a KindThrottle event for every cap step
-	// (Reason throttle/release, MHz the new cap with 0 = fully released,
-	// Value the cluster temperature). Emergency hotplug transitions are
-	// emitted by sched.SetCoreOnline as KindHotplug events.
-	Tel *telemetry.Collector
-
-	// Xray, when non-nil, receives a decision span for every cap step: the
-	// cluster temperature against the trip/clear points, the watts that drove
-	// it, and the previous cap. Spans link causally to the cluster's last
-	// governor step. Nil disables tracing at one pointer check per step.
-	Xray *xray.Tracer
 
 	sys      *sched.System
 	pw       power.Params
@@ -124,6 +120,7 @@ func (m *Model) onSample(now event.Time) {
 		alpha = 1
 	}
 
+	xr := m.sys.Xray
 	throttledNow := false
 	for ci := range soc.Clusters {
 		cl := &soc.Clusters[ci]
@@ -160,15 +157,13 @@ func (m *Model) onSample(now event.Time) {
 				cl.CapMHz = newCap
 				m.sys.SetClusterFreq(ci, cl.CurMHz) // re-clamp under the new cap
 				m.Events++
-				if m.Tel != nil {
-					m.Tel.Emit(telemetry.Event{
-						At: now, Kind: telemetry.KindThrottle,
-						Task: -1, Core: -1, FromCore: -1, Cluster: ci,
-						MHz: newCap, Reason: telemetry.ReasonThrottle, Value: m.TempC[ci],
-					})
-				}
-				if m.Xray != nil {
-					m.Xray.Throttle(now, ci, newCap,
+				m.sys.Tel.Emit(telemetry.Event{
+					At: now, Kind: telemetry.KindThrottle,
+					Task: -1, Core: -1, FromCore: -1, Cluster: ci,
+					MHz: newCap, Reason: telemetry.ReasonThrottle, Value: m.TempC[ci],
+				})
+				if xr != nil {
+					xr.Throttle(now, ci, newCap,
 						fmt.Sprintf("cap cluster%d at %d MHz", ci, newCap),
 						telemetry.ReasonThrottle,
 						[]xray.Input{
@@ -188,19 +183,17 @@ func (m *Model) onSample(now event.Time) {
 				cl.CapMHz = newCap
 			}
 			m.Events++
-			if m.Tel != nil {
-				m.Tel.Emit(telemetry.Event{
-					At: now, Kind: telemetry.KindThrottle,
-					Task: -1, Core: -1, FromCore: -1, Cluster: ci,
-					MHz: cl.CapMHz, Reason: telemetry.ReasonRelease, Value: m.TempC[ci],
-				})
-			}
-			if m.Xray != nil {
+			m.sys.Tel.Emit(telemetry.Event{
+				At: now, Kind: telemetry.KindThrottle,
+				Task: -1, Core: -1, FromCore: -1, Cluster: ci,
+				MHz: cl.CapMHz, Reason: telemetry.ReasonRelease, Value: m.TempC[ci],
+			})
+			if xr != nil {
 				choice := fmt.Sprintf("raise cluster%d cap to %d MHz", ci, cl.CapMHz)
 				if cl.CapMHz == 0 {
 					choice = fmt.Sprintf("release cluster%d cap", ci)
 				}
-				m.Xray.Throttle(now, ci, cl.CapMHz, choice, telemetry.ReasonRelease,
+				xr.Throttle(now, ci, cl.CapMHz, choice, telemetry.ReasonRelease,
 					[]xray.Input{
 						{Name: "temp_c", Value: m.TempC[ci]},
 						{Name: "trip_c", Value: m.Par.TripC},

@@ -169,11 +169,14 @@ func TestResidencyReportsWait(t *testing.T) {
 func TestChainsExistingHook(t *testing.T) {
 	eng, sys := rig()
 	called := 0
-	sys.TickHook = func(event.Time) { called++ }
-	Attach(sys, 0, 50*event.Millisecond)
+	sys.OnTick(func(event.Time) { called++ })
+	r := Attach(sys, 0, 0)
 	eng.Run(50 * event.Millisecond)
 	if called == 0 {
-		t.Fatal("previous TickHook was not chained")
+		t.Fatal("earlier tick subscriber was disconnected by Attach")
+	}
+	if len(r.Samples) != called {
+		t.Fatalf("recorder captured %d ticks, earlier subscriber saw %d", len(r.Samples), called)
 	}
 }
 

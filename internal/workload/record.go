@@ -36,9 +36,6 @@ const (
 	RecSeg RecKind = 2
 	// RecBusy marks a DropIfBusy gate reading the thread's run state.
 	RecBusy RecKind = 3
-	// RecPhase marks a session phase build (not replayable by core.Resume;
-	// it documents where a live-session checkpoint's phases begin).
-	RecPhase RecKind = 4
 )
 
 func (k RecKind) String() string {
@@ -49,22 +46,19 @@ func (k RecKind) String() string {
 		return "seg"
 	case RecBusy:
 		return "busy"
-	case RecPhase:
-		return "phase"
 	}
 	return fmt.Sprintf("RecKind(%d)", uint8(k))
 }
 
 // Record is one entry of a workload log. Field use depends on Kind:
 // RecFire uses Wid and At; RecSeg uses Th (thread creation index) and At;
-// RecBusy uses Busy; RecPhase uses App and At.
+// RecBusy uses Busy.
 type Record struct {
 	Kind RecKind    `json:"k"`
 	Wid  int        `json:"w,omitempty"`
 	Th   int        `json:"t,omitempty"`
 	At   event.Time `json:"at,omitempty"`
 	Busy bool       `json:"b,omitempty"`
-	App  string     `json:"app,omitempty"`
 }
 
 // PendingEvent describes one workload event still queued at capture time:
@@ -214,16 +208,6 @@ func (r *Recorder) observeBusy(busy bool) bool {
 	return rec.Busy
 }
 
-// NotePhase logs a session phase build marker. core.Resume refuses logs that
-// contain phase markers (a live session's phases cannot be rebuilt by
-// core.Resume); the marker documents the checkpoint's structure for
-// inspection and for a future session-resume path.
-func (r *Recorder) NotePhase(app string, now event.Time) {
-	if r.mode == modeRecord {
-		r.log = append(r.log, Record{Kind: RecPhase, App: app, At: now})
-	}
-}
-
 // next consumes one record.
 func (r *Recorder) next() Record {
 	if r.cursor >= len(r.log) {
@@ -263,9 +247,6 @@ func (r *Recorder) Replay(eng *event.Engine) {
 			r.threads[rec.Th].Task.OnSegment(rec.At)
 		case RecBusy:
 			diverge("log[%d]: busy-gate record not consumed by its event", r.cursor-1)
-		case RecPhase:
-			diverge("log[%d]: phase marker %q — session checkpoints cannot be resumed here",
-				r.cursor-1, rec.App)
 		default:
 			diverge("log[%d]: unknown record kind %d", r.cursor-1, uint8(rec.Kind))
 		}

@@ -260,11 +260,11 @@ func TestInteractionBoostPlacesOnBig(t *testing.T) {
 			return []Stage{{Threads: []*Thread{th}, Work: 2e6}}
 		},
 	})
-	ctx.Sys.TickHook = func(now event.Time) {
+	ctx.Sys.OnTick(func(now event.Time) {
 		if cpu := th.Task.CPU(); cpu >= 4 {
 			sawBig = true
 		}
-	}
+	})
 	ctx.Eng.Run(ctx.Duration)
 	if !sawBig {
 		t.Fatal("boosted thread never placed on a big core")
@@ -277,14 +277,14 @@ func TestTouchKicksRaiseFrequency(t *testing.T) {
 	lc := ctx.Sys.SoC.ClusterByType(platform.Little)
 	bc := ctx.Sys.SoC.ClusterByType(platform.Big)
 	sawLittleMax, sawBigFloor := false, false
-	ctx.Sys.TickHook = func(now event.Time) {
+	ctx.Sys.OnTick(func(now event.Time) {
 		if lc.CurMHz == lc.MaxMHz() {
 			sawLittleMax = true
 		}
 		if bc.CurMHz >= 1500 {
 			sawBigFloor = true
 		}
-	}
+	})
 	ctx.Eng.Run(ctx.Duration)
 	if !sawLittleMax || !sawBigFloor {
 		t.Fatalf("kicks not observed: littleMax=%v bigFloor=%v", sawLittleMax, sawBigFloor)
