@@ -28,11 +28,11 @@ bench-smoke:
 GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkForkSweep|BenchmarkExplore
 
 bench-baseline:
-	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -count 6 . | tee /tmp/blbench-baseline.txt
+	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu 1 -count 6 . | tee /tmp/blbench-baseline.txt
 	go run ./cmd/blbench record -out BENCH_baseline.json /tmp/blbench-baseline.txt
 
 bench-compare:
-	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -count 6 . | tee /tmp/blbench-new.txt
+	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu 1 -count 6 . | tee /tmp/blbench-new.txt
 	go run ./cmd/blbench compare -baseline BENCH_baseline.json \
 		-critical '^($(GATED_BENCH))$$' -max-regress 10 /tmp/blbench-new.txt
 
@@ -42,7 +42,7 @@ bench-compare:
 # once; standalone it measures fresh.
 bench-record:
 	@[ -s /tmp/blbench-new.txt ] || \
-		go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -count 6 . | tee /tmp/blbench-new.txt
+		go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu 1 -count 6 . | tee /tmp/blbench-new.txt
 	go run ./cmd/blbench history -append -file BENCH_history.jsonl \
 		-rev $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) /tmp/blbench-new.txt
 	go run ./cmd/blbench history -file BENCH_history.jsonl
@@ -178,18 +178,26 @@ quick-report:
 	go run ./cmd/blreport -quick
 
 # Smoke-test the experiment orchestrator: run the quick report cold into a
-# fresh cache, re-run warm, and assert (a) the warm run hit the cache and
-# simulated nothing, (b) report stdout is byte-identical cold vs warm.
+# fresh cache, re-run warm, then run it with no cache at all, and assert
+# (a) the warm run hit the cache and simulated nothing, (b) the uncached run
+# simulated each of the report's 448 distinct jobs exactly once, serving the
+# 292 repeats from the in-process memo, and (c) report stdout is
+# byte-identical across all three. The job counts do not depend on the
+# machine, so an analysis change that reintroduces duplicate simulation
+# fails (b).
 report-par:
 	go build -o /tmp/blreport ./cmd/blreport
 	dir=$$(mktemp -d); \
 		/tmp/blreport -quick -cache-dir $$dir >/tmp/report-cold.txt 2>/tmp/report-cold.log; \
 		/tmp/blreport -quick -cache-dir $$dir >/tmp/report-warm.txt 2>/tmp/report-warm.log; \
-		cat /tmp/report-cold.log /tmp/report-warm.log; \
+		/tmp/blreport -quick -no-cache >/tmp/report-nocache.txt 2>/tmp/report-nocache.log; \
+		cat /tmp/report-cold.log /tmp/report-warm.log /tmp/report-nocache.log; \
 		rm -rf $$dir; \
 		grep -Eq 'lab: [0-9]+ jobs: [1-9][0-9]* cache hits' /tmp/report-warm.log || { echo "report-par: warm run had no cache hits" >&2; exit 1; }; \
 		grep -Eq ' 0 simulated' /tmp/report-warm.log || { echo "report-par: warm run still simulated" >&2; exit 1; }; \
+		grep -q 'lab: 740 jobs: 292 cache hits (292 in-process), 0 misses, 448 simulated' /tmp/report-nocache.log || { echo "report-par: uncached run did not simulate each distinct job exactly once" >&2; exit 1; }; \
 		cmp /tmp/report-cold.txt /tmp/report-warm.txt || { echo "report-par: cold and warm output differ" >&2; exit 1; }; \
+		cmp /tmp/report-cold.txt /tmp/report-nocache.txt || { echo "report-par: cached and uncached output differ" >&2; exit 1; }; \
 		echo "report-par: OK"
 
 # Line-coverage floors for the simulation kernel packages. The profile can

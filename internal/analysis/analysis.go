@@ -28,9 +28,10 @@ type Options struct {
 	Seed int64
 	// Instructions per SPEC trace (0 = the profile default).
 	Instructions int
-	// Runner orchestrates the driver's simulations: worker-pool fan-out and
-	// (when it carries a cache) content-addressed result memoization. Nil
-	// uses the shared default runner — GOMAXPROCS workers, no cache.
+	// Runner orchestrates the driver's simulations: worker-pool fan-out,
+	// in-process sharing of repeated jobs, and (when it carries a cache)
+	// content-addressed result memoization on disk. Nil uses the shared
+	// default runner — GOMAXPROCS workers, no cache.
 	Runner *lab.Runner
 }
 

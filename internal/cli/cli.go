@@ -130,15 +130,17 @@ func Ints(s string) ([]int, error) {
 
 // PrintLabStats writes the runner's job and cache counters to w — the
 // commands pass stderr, so report stdout stays byte-identical whatever the
-// cache state. A fully warm run shows "0 simulated".
+// cache state. A fully warm run shows "0 simulated". Cache hits include the
+// repeats served from the runner's in-process memo, counted again in
+// parentheses.
 func PrintLabStats(w io.Writer, r *lab.Runner, elapsed time.Duration) {
 	s := r.Stats()
 	cache := "off"
 	if r.Cache != nil {
 		cache = r.Cache.Dir()
 	}
-	fmt.Fprintf(w, "lab: %d jobs: %d cache hits, %d misses, %d simulated, %d remote, %d retried, %d failed in %s (cache %s)\n",
-		s.Jobs, s.Hits, s.Misses, s.Simulated, s.Remote, s.Retries, s.Failures, elapsed.Round(time.Millisecond), cache)
+	fmt.Fprintf(w, "lab: %d jobs: %d cache hits (%d in-process), %d misses, %d simulated, %d remote, %d retried, %d failed in %s (cache %s)\n",
+		s.Jobs, s.Hits, s.Shared, s.Misses, s.Simulated, s.Remote, s.Retries, s.Failures, elapsed.Round(time.Millisecond), cache)
 	if s.Forks > 0 || s.PrefixMisses > 0 {
 		fmt.Fprintf(w, "lab: fork: %d continuations: %d prefixes simulated, %d reused, %d evicted\n",
 			s.Forks, s.PrefixMisses, s.PrefixHits, s.PrefixEvictions)

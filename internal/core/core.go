@@ -7,6 +7,8 @@
 package core
 
 import (
+	"slices"
+
 	"biglittle/internal/apps"
 	"biglittle/internal/delta"
 	"biglittle/internal/event"
@@ -271,6 +273,23 @@ type Result struct {
 	// Profile is the per-task attribution snapshot (nil unless
 	// Config.Profiler was set).
 	Profile *profile.Snapshot
+}
+
+// Clone returns a deep copy of r: no slice or pointer of the copy aliases
+// r's, so a caller may mutate either without affecting the other. Results
+// handed out more than once (the lab's in-process memo) go through Clone.
+// TestResultCloneDeep fails when a new reference-typed field is not copied.
+func (r Result) Clone() Result {
+	r.LittleFreqs = slices.Clone(r.LittleFreqs)
+	r.BigFreqs = slices.Clone(r.BigFreqs)
+	r.LittleResidency = slices.Clone(r.LittleResidency)
+	r.BigResidency = slices.Clone(r.BigResidency)
+	r.TaskStats = slices.Clone(r.TaskStats)
+	if r.Profile != nil {
+		p := r.Profile.Clone()
+		r.Profile = &p
+	}
+	return r
 }
 
 // TaskStat is one thread's share of a run.

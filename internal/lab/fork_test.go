@@ -175,23 +175,41 @@ func TestForkPrefixCorruptBlobRebuilds(t *testing.T) {
 // TestForkPrefixBudgetEviction pins the in-process tier's byte budget: with
 // a budget too small for two decoded prefixes, the older one is evicted when
 // the newer is handed out, a revisit rebuilds it (another PrefixMiss), and
-// results are unaffected — eviction only trades memory for rebuild time.
+// results are unaffected — eviction only trades memory for rebuild time. The
+// revisit is a variant sharing jobA's ForkSpec rather than jobA itself, which
+// the result memo would serve without touching the prefix tier.
 func TestForkPrefixBudgetEviction(t *testing.T) {
 	base := testConfig(t)
 	jobA := Job{Config: base, Fork: &ForkSpec{Base: base, At: forkAt}}
 	jobB := Job{Config: base, Fork: &ForkSpec{Base: base, At: 2 * forkAt}}
-	want := core.Run(base)
+	variant := base
+	variant.Gov.SampleMs = 40
+	jobA2 := Job{Config: variant, Fork: jobA.Fork}
+	seq := []Job{jobA, jobB, jobA2}
+
+	// Unlimited budget: the same sequence keeps both prefixes resident, and
+	// its results are the reference for the evicting runner's.
+	un := &Runner{Workers: 1, PrefixBudget: -1}
+	want := make([]core.Result, len(seq))
+	for i, job := range seq {
+		res, err := un.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	if s := un.Stats(); s.PrefixMisses != 2 || s.PrefixHits != 1 || s.PrefixEvictions != 0 {
+		t.Fatalf("unlimited budget: PrefixMisses=%d PrefixHits=%d PrefixEvictions=%d, want 2, 1, 0", s.PrefixMisses, s.PrefixHits, s.PrefixEvictions)
+	}
 
 	r := &Runner{Workers: 1, PrefixBudget: 1} // at most one resident prefix
-	for i, job := range []Job{jobA, jobB, jobA} {
+	for i, job := range seq {
 		res, err := r.Run(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every job forks the unchanged base, so each result must equal the
-		// from-scratch run regardless of which prefixes were evicted.
-		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("job %d: result differs from the from-scratch run after eviction", i)
+		if !reflect.DeepEqual(res, want[i]) {
+			t.Fatalf("job %d: result differs from the unevicted runner's after eviction", i)
 		}
 	}
 	s := r.Stats()
@@ -201,16 +219,9 @@ func TestForkPrefixBudgetEviction(t *testing.T) {
 	if s.PrefixEvictions != 2 {
 		t.Fatalf("PrefixEvictions=%d, want 2 (A evicted by B, then B by A)", s.PrefixEvictions)
 	}
-
-	// Unlimited budget: the same sequence keeps both prefixes resident.
-	un := &Runner{Workers: 1, PrefixBudget: -1}
-	for _, job := range []Job{jobA, jobB, jobA} {
-		if _, err := un.Run(job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := un.Stats(); s.PrefixMisses != 2 || s.PrefixHits != 1 || s.PrefixEvictions != 0 {
-		t.Fatalf("unlimited budget: PrefixMisses=%d PrefixHits=%d PrefixEvictions=%d, want 2, 1, 0", s.PrefixMisses, s.PrefixHits, s.PrefixEvictions)
+	// The base forks must still reproduce the from-scratch run.
+	if scratch := core.Run(base); !reflect.DeepEqual(want[0], scratch) || !reflect.DeepEqual(want[1], scratch) {
+		t.Fatal("forking the unchanged base differs from the from-scratch run")
 	}
 }
 

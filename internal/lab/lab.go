@@ -1,7 +1,8 @@
 // Package lab is the experiment orchestrator: it turns every simulation
 // into a declarative Job, fans jobs out over a bounded worker pool, and
-// memoizes completed results in a content-addressed on-disk cache so warm
-// re-runs skip simulation entirely.
+// memoizes completed results — in process, so a job repeated within a run
+// simulates once, and in a content-addressed on-disk cache, so warm re-runs
+// skip simulation entirely.
 //
 // Three properties make it safe to put under every paper-reproduction
 // driver:
@@ -89,7 +90,8 @@ type Executor interface {
 // (when nothing failed); on a fully warm cache Simulated is zero.
 type Stats struct {
 	Jobs      int64 // jobs submitted
-	Hits      int64 // results served from cache
+	Hits      int64 // results served from the in-process memo or the disk cache
+	Shared    int64 // the subset of Hits served from the in-process memo
 	Misses    int64 // cache lookups that missed (cacheable jobs only)
 	Simulated int64 // simulations actually executed
 	Stored    int64 // results written to cache
@@ -137,9 +139,9 @@ type Runner struct {
 	// results are stored into the local cache like fresh simulations.
 	Remote Executor
 	// Tel, when non-nil, receives progress and cache hit/miss counters —
-	// one per Stats field: "lab_jobs", "lab_cache_hits", "lab_cache_misses",
-	// "lab_simulations", "lab_stored", "lab_retries", "lab_failures",
-	// "lab_remote", "lab_remote_errors", "lab_audited",
+	// one per Stats field: "lab_jobs", "lab_cache_hits", "lab_shared",
+	// "lab_cache_misses", "lab_simulations", "lab_stored", "lab_retries",
+	// "lab_failures", "lab_remote", "lab_remote_errors", "lab_audited",
 	// "lab_audit_failures", "lab_forks", "lab_prefix_hits",
 	// "lab_prefix_misses". The runner updates them under its
 	// own mutex so Stats and the mirrored counters stay in lockstep; the
@@ -176,11 +178,17 @@ type Runner struct {
 	// cache hits are verified by re-simulating with an auditor and requiring
 	// the cached result to match the fresh one byte for byte. Auditing is a
 	// pure observation — results are identical with it on or off — but cache
-	// hits lose their speedup since each one re-simulates.
+	// hits lose their speedup since each one re-simulates. Check runs bypass
+	// the in-process memo, so repeated jobs are each audited.
 	Check bool
 
 	mu    sync.Mutex
 	stats Stats
+
+	// memo is the in-process result tier in front of the cache, the remote
+	// and simulation: one result per job fingerprint, resolved at most once
+	// at a time across workers and shared for the runner's lifetime.
+	memo resultMemo
 
 	// prefixes is the in-process tier of the fork-prefix cache: one decoded
 	// read-only snapshot per (base fingerprint, fork time), built at most
@@ -362,6 +370,7 @@ func (p *progress) finish() {
 		"jobs", p.completed.Load(),
 		"elapsed", time.Since(p.start).Round(time.Millisecond).String(),
 		"hits", s.Hits,
+		"shared", s.Shared,
 		"misses", s.Misses,
 		"simulated", s.Simulated,
 		"forks", s.Forks,
@@ -449,7 +458,8 @@ func (r *Runner) ForEach(n int, fn func(i int)) {
 	}
 }
 
-// runOne resolves one job: cache lookup, then bounded simulation attempts.
+// runOne resolves one job: in-process memo, then disk cache, then remote,
+// then bounded simulation attempts.
 func (r *Runner) runOne(job Job) (core.Result, error) {
 	r.count(func(s *Stats) { s.Jobs++ }, "lab_jobs")
 
@@ -467,14 +477,46 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 		r.logJob("job failed", cfg.App.Name, "err", err)
 		return core.Result{}, err
 	}
-	// Fingerprinting costs a config marshal (two for fork jobs); skip it
-	// when neither the cache nor a remote executor could use the result.
+	// Every job is fingerprinted, even with no cache or remote attached: the
+	// in-process memo keys on it. Unprintable jobs and Check runs bypass the
+	// memo, so every audit still re-simulates.
 	probe := Job{Config: cfg, Salt: job.Salt, Fork: job.Fork}
-	var fp string
-	var printable bool
-	if r.Cache != nil || r.Remote != nil {
-		fp, printable = Fingerprint(probe)
+	fp, printable := Fingerprint(probe)
+	if !printable || r.Check {
+		return r.resolve(probe, fp, printable)
 	}
+	for {
+		e, leader := r.memo.claim(fp)
+		if leader {
+			return r.lead(e, probe, fp)
+		}
+		<-e.done
+		if e.ok {
+			r.count(func(s *Stats) { s.Hits++; s.Shared++ }, "lab_cache_hits", "lab_shared")
+			r.logJob("memo hit", cfg.App.Name, "fingerprint", fp)
+			return e.res.Clone(), nil
+		}
+		// The leader failed and dropped the entry: resolve afresh, as a new
+		// leader or behind one.
+	}
+}
+
+// lead resolves a job as the leader of its memo entry and publishes the
+// outcome. If resolution panics, ok stays false and the entry is dropped,
+// so waiters never block on a leader that is gone.
+func (r *Runner) lead(e *memoEntry, job Job, fp string) (res core.Result, err error) {
+	ok := false
+	defer func() { r.memo.publish(fp, e, res, ok) }()
+	res, err = r.resolve(job, fp, true)
+	ok = err == nil
+	return res, err
+}
+
+// resolve runs one prepared job (Prepare already applied to its Config)
+// through the disk cache, then the remote executor, then bounded
+// simulation attempts.
+func (r *Runner) resolve(job Job, fp string, printable bool) (core.Result, error) {
+	cfg := job.Config
 	cacheable := printable && r.Cache != nil
 	if cacheable {
 		if res, ok := r.Cache.Get(fp); ok {
@@ -500,7 +542,7 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 	// falls through to local simulation — the fleet is an accelerator, not a
 	// dependency.
 	if printable && r.Remote != nil {
-		res, ok, rerr := r.Remote.Execute(probe)
+		res, ok, rerr := r.Remote.Execute(job)
 		switch {
 		case rerr != nil:
 			r.count(func(s *Stats) { s.RemoteErrors++ }, "lab_remote_errors")

@@ -21,6 +21,7 @@ import (
 var statCounters = map[string]string{
 	"Jobs":            "lab_jobs",
 	"Hits":            "lab_cache_hits",
+	"Shared":          "lab_shared",
 	"Misses":          "lab_cache_misses",
 	"Simulated":       "lab_simulations",
 	"Stored":          "lab_stored",

@@ -34,6 +34,7 @@
 package profile
 
 import (
+	"slices"
 	"sort"
 
 	"biglittle/internal/event"
@@ -387,6 +388,16 @@ func (p *Profiler) Snapshot(elapsed event.Time) Snapshot {
 		}
 		return s.Tasks[i].ID < s.Tasks[j].ID
 	})
+	return s
+}
+
+// Clone returns a deep copy of s: the copy's task table and per-task
+// residency slices share no memory with s's.
+func (s Snapshot) Clone() Snapshot {
+	s.Tasks = slices.Clone(s.Tasks)
+	for i := range s.Tasks {
+		s.Tasks[i].Residency = slices.Clone(s.Tasks[i].Residency)
+	}
 	return s
 }
 

@@ -25,7 +25,8 @@ type LabForkSpec = lab.ForkSpec
 // LabCache is the content-addressed result store backing warm re-runs.
 type LabCache = lab.Cache
 
-// LabStats counts what a LabRunner did: jobs, cache hits and misses,
+// LabStats counts what a LabRunner did: jobs, cache hits (in-process
+// repeats included, and counted again as Shared) and misses,
 // simulations, results stored to the cache, retries, failures, and audit
 // outcomes. Every field mirrors into a telemetry counter of the same
 // meaning (lab_jobs, lab_cache_hits, ... lab_audit_failures) when a
