@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"biglittle"
+	"biglittle/internal/cli"
 )
 
 // testServer builds a server around a short live session advanced far enough
@@ -18,7 +19,7 @@ import (
 // main does.
 func testServer(t *testing.T) (*server, http.Handler) {
 	t.Helper()
-	phases, err := parsePhases("bbench:2s")
+	phases, err := cli.ParsePhases("bbench:2s")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
-// Package cli holds the flag plumbing shared by the experiment commands
-// (blreport, blsweep, bltlp): the -seed/-duration pair every command
-// carried its own copy of, the -workers/-cache-dir/-no-cache orchestration
-// flags, app-list resolution, and strict value-list parsing.
+// Package cli holds the flag plumbing shared by the commands: the
+// -seed/-duration pair and -workers/-cache-dir/-no-cache orchestration flags
+// of the experiment commands (blreport, blsweep, bltlp), app-list
+// resolution, strict value-list parsing, the key=value config override
+// vocabulary (blsim -set, bldiff -a/-b, blexplore -dim), and the
+// app:duration session phase list (blsim -phases, blserve -phases).
 package cli
 
 import (
@@ -21,6 +23,7 @@ import (
 	"biglittle/internal/fleet"
 	"biglittle/internal/lab"
 	"biglittle/internal/platform"
+	"biglittle/internal/session"
 )
 
 // Experiment bundles the flag values shared by the experiment commands.
@@ -128,6 +131,32 @@ func Ints(s string) ([]int, error) {
 	return out, nil
 }
 
+// ParsePhases parses a session's comma-separated app:duration phase list,
+// e.g. "browser:20s,fifa15:30s". Every phase needs a known app and a
+// positive duration, or it would report nonsense power and battery figures.
+func ParsePhases(s string) ([]session.Phase, error) {
+	var phases []session.Phase
+	for _, part := range strings.Split(s, ",") {
+		name, dur, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok {
+			return nil, fmt.Errorf("bad phase %q (want app:duration)", part)
+		}
+		app, err := apps.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		d, err := time.ParseDuration(dur)
+		if err != nil {
+			return nil, err
+		}
+		if d <= 0 {
+			return nil, fmt.Errorf("phase %q: duration must be positive", part)
+		}
+		phases = append(phases, session.Phase{App: app, Duration: event.Time(d.Nanoseconds())})
+	}
+	return phases, nil
+}
+
 // PrintLabStats writes the runner's job and cache counters to w — the
 // commands pass stderr, so report stdout stays byte-identical whatever the
 // cache state. A fully warm run shows "0 simulated". Cache hits include the
@@ -203,8 +232,9 @@ func overrideKeys() string {
 }
 
 // ApplyOverrides applies a comma-separated key=value override list to a run
-// configuration — the vocabulary bldiff's -a/-b flags use to describe the
-// two sides of a comparison ("up=350", "governor=ondemand,sample-ms=60").
+// configuration — the vocabulary blsim's -set flag tunes one run with and
+// bldiff's -a/-b flags use to describe the two sides of a comparison
+// ("up=350", "governor=ondemand,sample-ms=60").
 // Unknown keys and unparseable values are errors listing the vocabulary, so
 // a typo can never silently diff a config against itself.
 func ApplyOverrides(cfg *core.Config, spec string) error {

@@ -142,3 +142,42 @@ func TestApplyOverridesErrors(t *testing.T) {
 		t.Errorf("unknown-key error should list the vocabulary: %v", err)
 	}
 }
+
+func TestParsePhases(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want string // error substring; "" = valid
+	}{
+		{"bbench", "want app:duration"},
+		{"warp_drive:2s", "unknown app"},
+		{"bbench:two", "invalid duration"},
+		{"bbench:0s", "must be positive"},
+		{"browser:-1s,video_player:1s", "must be positive"},
+		{"bbench:2s", ""},
+		{"browser:20s, fifa15:1m30s,video_player:500ms", ""},
+	} {
+		phases, err := ParsePhases(tc.spec)
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ParsePhases(%q) error = %v, want one containing %q", tc.spec, err, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParsePhases(%q): %v", tc.spec, err)
+			continue
+		}
+		parts := strings.Split(tc.spec, ",")
+		if len(phases) != len(parts) {
+			t.Fatalf("ParsePhases(%q) = %d phases, want %d", tc.spec, len(phases), len(parts))
+		}
+		for i, part := range parts {
+			name, dur, _ := strings.Cut(strings.TrimSpace(part), ":")
+			d, _ := time.ParseDuration(dur)
+			if phases[i].App.Name != name || int64(phases[i].Duration) != d.Nanoseconds() {
+				t.Errorf("ParsePhases(%q)[%d] = %s for %v, want %s for %v",
+					tc.spec, i, phases[i].App.Name, phases[i].Duration, name, d)
+			}
+		}
+	}
+}

@@ -62,6 +62,20 @@ type print struct {
 // (The runner's own Check mode attaches its auditor after fingerprinting, so
 // it does not affect cacheability.)
 func Fingerprint(job Job) (string, bool) {
+	var baseFp string
+	if job.Fork != nil {
+		var ok bool
+		if baseFp, ok = Fingerprint(Job{Config: job.Fork.Base}); !ok {
+			return "", false
+		}
+	}
+	return fingerprint(job, baseFp)
+}
+
+// fingerprint is Fingerprint with a fork job's base fingerprint supplied by
+// the caller, so the runner can reuse the one it memoizes per *ForkSpec
+// instead of marshaling the base config again for every job.
+func fingerprint(job Job, baseFp string) (string, bool) {
 	cfg := job.Config.Normalized()
 	if cfg.OnSystem != nil || cfg.Telemetry != nil || cfg.Profiler != nil || cfg.Xray != nil || cfg.Check != nil || cfg.Digest != nil || cfg.OnSnapshot != nil {
 		return "", false
@@ -90,10 +104,6 @@ func Fingerprint(job Job) (string, bool) {
 		p.Platform = soc.Name
 	}
 	if job.Fork != nil {
-		baseFp, ok := Fingerprint(Job{Config: job.Fork.Base})
-		if !ok {
-			return "", false
-		}
 		p.ForkBase = baseFp
 		p.ForkAt = job.Fork.At
 	}

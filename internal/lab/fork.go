@@ -24,6 +24,10 @@ type prefixEntry struct {
 	size      int64 // estimated decoded footprint, for the byte budget
 	tracked   bool  // accounted in prefixLRU/prefixBytes (under prefixMu)
 	err       error
+
+	// run is the continuation attempt body over state, built once and
+	// shared by every job forking from this prefix.
+	run func(core.Config) (core.Result, error)
 }
 
 // prefixKey addresses one warmed prefix: the base config's content
@@ -33,32 +37,62 @@ func prefixKey(baseFp string, at event.Time) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// prefixState returns the decoded snapshot of spec.Base run to spec.At,
-// building it at most once per (Base, At) across all workers and caching its
-// encoded form in the Cache's prefix tier for later processes. Every path
-// out of here is counted: a simulated prefix is a PrefixMiss, a reused one a
-// PrefixHit. The key (a base-config fingerprint, one config marshal) is
-// memoized per *ForkSpec, so jobs sharing one spec pointer — the natural way
-// to build a fork sweep — fingerprint the base once, not once per job.
-func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
+// forkKey is a fork base's identity: its content fingerprint, which every job
+// forking from it folds into its own fingerprint, and the prefix-tier key
+// derived from it. ok is false when the base is not fingerprintable.
+type forkKey struct {
+	base, prefix string
+	ok           bool
+}
+
+// forkKey returns spec's identity, computed (one base-config marshal) once
+// per *ForkSpec: jobs sharing one spec pointer — the natural way to build a
+// fork sweep — fingerprint the base once, not once per job.
+func (r *Runner) forkKey(spec *ForkSpec) forkKey {
+	r.prefixMu.Lock()
+	defer r.prefixMu.Unlock()
+	k, seen := r.forkKeys[spec]
+	if !seen {
+		if k.base, k.ok = Fingerprint(Job{Config: spec.Base}); k.ok {
+			k.prefix = prefixKey(k.base, spec.At)
+		}
+		if r.forkKeys == nil {
+			r.forkKeys = make(map[*ForkSpec]forkKey)
+		}
+		r.forkKeys[spec] = k
+	}
+	return k
+}
+
+// fingerprint is Fingerprint(job), taking a fork job's base fingerprint from
+// the per-spec memo.
+func (r *Runner) fingerprint(job Job) (string, bool) {
+	if job.Fork == nil {
+		return fingerprint(job, "")
+	}
+	k := r.forkKey(job.Fork)
+	if !k.ok {
+		return "", false
+	}
+	return fingerprint(job, k.base)
+}
+
+// prefixRun returns the attempt body that resumes the decoded snapshot of
+// spec.Base run to spec.At, building the snapshot at most once per (Base, At)
+// across all workers and caching its encoded form in the Cache's prefix tier
+// for later processes. Every path out of here is counted: a simulated prefix
+// is a PrefixMiss, a reused one a PrefixHit.
+func (r *Runner) prefixRun(spec *ForkSpec) (func(core.Config) (core.Result, error), error) {
 	if spec.At <= 0 {
 		return nil, fmt.Errorf("lab: fork for %q: fork time must be positive, got %v", spec.Base.App.Name, spec.At)
 	}
+	k := r.forkKey(spec)
+	if !k.ok {
+		return nil, fmt.Errorf("lab: fork base config for %q is not fingerprintable (it carries observers, hooks, a digest recorder, or an unnamed platform); fork acceleration needs a shareable prefix", spec.Base.App.Name)
+	}
+	key := k.prefix
 
 	r.prefixMu.Lock()
-	key, ok := r.prefixKeys[spec]
-	if !ok {
-		baseFp, printable := Fingerprint(Job{Config: spec.Base})
-		if !printable {
-			r.prefixMu.Unlock()
-			return nil, fmt.Errorf("lab: fork base config for %q is not fingerprintable (it carries observers, hooks, a digest recorder, or an unnamed platform); fork acceleration needs a shareable prefix", spec.Base.App.Name)
-		}
-		key = prefixKey(baseFp, spec.At)
-		if r.prefixKeys == nil {
-			r.prefixKeys = make(map[*ForkSpec]string)
-		}
-		r.prefixKeys[spec] = key
-	}
 	if r.prefixes == nil {
 		r.prefixes = make(map[string]*prefixEntry)
 	}
@@ -75,6 +109,7 @@ func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
 		e.state, e.simulated, e.err = r.loadOrBuildPrefix(spec, key)
 		if e.err == nil {
 			e.size = e.state.ApproxBytes()
+			e.run = forkRun(e.state)
 		}
 	})
 	if e.err != nil {
@@ -88,12 +123,20 @@ func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
 	switch {
 	case built && e.simulated:
 		r.count(func(s *Stats) { s.PrefixMisses++ }, "lab_prefix_misses")
-		r.logJob("prefix simulated", spec.Base.App.Name, "at", spec.At, "key", key[:12])
+		r.logFork("prefix simulated", spec, key)
 	default:
 		r.count(func(s *Stats) { s.PrefixHits++ }, "lab_prefix_hits")
-		r.logJob("prefix reused", spec.Base.App.Name, "at", spec.At, "key", key[:12])
+		r.logFork("prefix reused", spec, key)
 	}
-	return e.state, nil
+	return e.run, nil
+}
+
+// logFork logs a prefix transition. It checks for a logger before boxing the
+// fork time and key, which would otherwise allocate on every fork job.
+func (r *Runner) logFork(msg string, spec *ForkSpec, key string) {
+	if r.Log != nil {
+		r.logJob(msg, spec.Base.App.Name, "at", spec.At, "key", key[:12])
+	}
 }
 
 // loadOrBuildPrefix tries the cache's prefix tier, then simulates the base

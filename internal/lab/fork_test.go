@@ -129,6 +129,51 @@ func TestForkPrefixDiskTier(t *testing.T) {
 	}
 }
 
+// TestForkJobKeyMatchesFingerprint pins the runner's memoized fork-base path
+// to the exported Fingerprint: a fork job is cached under Fingerprint(job) and
+// its prefix under prefixKey(Fingerprint(base), At), however many jobs share
+// the spec — so cache entries written by either path, or another process,
+// agree.
+func TestForkJobKeyMatchesFingerprint(t *testing.T) {
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, jobs := forkSweepJobs(t, 3)
+	spec := jobs[0].Fork
+	for i := range jobs {
+		jobs[i].Fork, jobs[i].Salt = spec, "salt"
+	}
+	r := New(1, cache)
+	res, err := r.RunAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		want, ok := Fingerprint(job)
+		if !ok {
+			t.Fatalf("job %d: fork job must be fingerprintable", i)
+		}
+		if got, ok := r.fingerprint(job); !ok || got != want {
+			t.Fatalf("job %d: runner key %q, Fingerprint %q", i, got, want)
+		}
+		if got, ok := cache.Get(want); !ok || !reflect.DeepEqual(got, res[i]) {
+			t.Fatalf("job %d: result not cached under Fingerprint(job)", i)
+		}
+	}
+	baseFp, _ := Fingerprint(Job{Config: base})
+	if k := r.forkKey(spec); !k.ok || k.base != baseFp || k.prefix != prefixKey(baseFp, forkAt) {
+		t.Fatalf("fork key %+v, want base %q and its prefix key", k, baseFp)
+	}
+
+	// An unprintable base makes every job forking from it unprintable.
+	bad := &ForkSpec{Base: base, At: forkAt}
+	bad.Base.OnSnapshot = func(*snapshot.State) {}
+	if _, ok := r.fingerprint(Job{Config: base, Fork: bad}); ok {
+		t.Fatal("fork job over an unprintable base was fingerprinted")
+	}
+}
+
 func TestForkPrefixCorruptBlobRebuilds(t *testing.T) {
 	cache, err := Open(t.TempDir())
 	if err != nil {

@@ -193,14 +193,14 @@ type Runner struct {
 	// prefixes is the in-process tier of the fork-prefix cache: one decoded
 	// read-only snapshot per (base fingerprint, fork time), built at most
 	// once per runner under singleflight. The on-disk tier lives in the
-	// Cache's prefix/ area and survives across processes. prefixKeys
-	// memoizes the fingerprint-derived key per spec pointer, so a sweep
-	// sharing one *ForkSpec marshals the base config once. prefixLRU orders
+	// Cache's prefix/ area and survives across processes. forkKeys
+	// memoizes each spec pointer's base fingerprint and prefix key, so a
+	// sweep sharing one *ForkSpec marshals the base config once. prefixLRU orders
 	// the tracked keys least-recently-handed-out first and prefixBytes sums
 	// their estimated sizes, for PrefixBudget eviction.
 	prefixMu    sync.Mutex
 	prefixes    map[string]*prefixEntry
-	prefixKeys  map[*ForkSpec]string
+	forkKeys    map[*ForkSpec]forkKey
 	prefixLRU   []string
 	prefixBytes int64
 }
@@ -481,7 +481,7 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 	// in-process memo keys on it. Unprintable jobs and Check runs bypass the
 	// memo, so every audit still re-simulates.
 	probe := Job{Config: cfg, Salt: job.Salt, Fork: job.Fork}
-	fp, printable := Fingerprint(probe)
+	fp, printable := r.fingerprint(probe)
 	if !printable || r.Check {
 		return r.resolve(probe, fp, printable)
 	}
@@ -577,13 +577,12 @@ func (r *Runner) resolve(job Job, fp string, printable bool) (core.Result, error
 	// re-runs only the cheap continuation.
 	run := runScratch
 	if job.Fork != nil {
-		st, ferr := r.prefixState(job.Fork)
-		if ferr != nil {
+		var ferr error
+		if run, ferr = r.prefixRun(job.Fork); ferr != nil {
 			r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
 			r.logJob("job failed", cfg.App.Name, "err", ferr)
 			return core.Result{}, ferr
 		}
-		run = forkRun(st)
 	}
 
 	var err error
@@ -616,7 +615,9 @@ func (r *Runner) resolve(job Job, fp string, printable bool) (core.Result, error
 		}
 		if job.Fork != nil {
 			r.count(func(s *Stats) { s.Forks++ }, "lab_forks")
-			r.logJob("forked", cfg.App.Name, "at", job.Fork.At)
+			if r.Log != nil { // see logFork: boxing the fork time allocates
+				r.logJob("forked", cfg.App.Name, "at", job.Fork.At)
+			}
 		}
 		r.count(func(s *Stats) { s.Simulated++ }, "lab_simulations")
 		r.logJob("simulated", cfg.App.Name, "attempt", attempt+1)

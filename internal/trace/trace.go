@@ -160,15 +160,16 @@ func (r *Recorder) Render(width int) string {
 	for core := range soc.Cores {
 		fmt.Fprintf(&b, "cpu%d %-6s |", core, soc.Cores[core].Type)
 		for i := 0; i < len(r.Samples); i += stride {
-			// Within a stride, show the most common non-idle occupant.
+			// Within a stride, show the most common non-idle occupant; on a
+			// tie, the one that reached that count first, so the column does
+			// not depend on map iteration order.
 			counts := map[int]int{}
-			for j := i; j < i+stride && j < len(r.Samples); j++ {
-				counts[r.Samples[j].TaskOnCore[core]]++
-			}
 			best, bestN := -1, 0
-			for id, n := range counts {
-				if id >= 0 && n > bestN {
-					best, bestN = id, n
+			for j := i; j < i+stride && j < len(r.Samples); j++ {
+				id := r.Samples[j].TaskOnCore[core]
+				counts[id]++
+				if id >= 0 && counts[id] > bestN {
+					best, bestN = id, counts[id]
 				}
 			}
 			if best == -1 {

@@ -117,6 +117,41 @@ func TestRenderDownsamples(t *testing.T) {
 	}
 }
 
+// TestRenderDownsampleTieIsDeterministic pins the downsampled column rule: on
+// a tie, the occupant that reached the winning count first is drawn, whatever
+// the order a map would yield.
+func TestRenderDownsampleTieIsDeterministic(t *testing.T) {
+	_, sys := rig()
+	r := Attach(sys, 0, 0)
+	r.names = map[int]string{1: "one", 2: "two"}
+	sample := func(id int) Sample {
+		s := Sample{TaskOnCore: make([]int, len(sys.SoC.Cores)), ClusterMHz: make([]int, len(sys.SoC.Clusters))}
+		for i := range s.TaskOnCore {
+			s.TaskOnCore[i] = -1
+		}
+		s.TaskOnCore[0] = id
+		return s
+	}
+	for _, tc := range []struct {
+		ids  []int
+		want string
+	}{
+		{[]int{1, 2}, "cpu0 little |a|"},
+		{[]int{2, 1}, "cpu0 little |b|"},
+		{[]int{-1, 2, 1, 1, 2}, "cpu0 little |a|"},
+	} {
+		r.Samples = r.Samples[:0]
+		for _, id := range tc.ids {
+			r.Samples = append(r.Samples, sample(id))
+		}
+		for i := 0; i < 20; i++ {
+			if out := r.Render(1); !strings.Contains(out, tc.want+"\n") {
+				t.Fatalf("occupants %v: want row %q in:\n%s", tc.ids, tc.want, out)
+			}
+		}
+	}
+}
+
 func TestResidency(t *testing.T) {
 	eng, sys := rig()
 	r := Attach(sys, 0, 200*event.Millisecond)
