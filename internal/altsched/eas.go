@@ -68,7 +68,7 @@ func (e *EAS) energyPerGc(t *sched.Task, typ platform.CoreType) float64 {
 	if cl == nil || len(e.sys.SoC.OnlineCores(typ)) == 0 {
 		return 1e18
 	}
-	mw := e.pw.CorePowerMW(typ, cl.CurMHz, 1.0) - e.pw.CorePowerMW(typ, cl.CurMHz, 0.0)
+	mw := e.pw.MarginalMW(typ, cl.CurMHz)
 	rate := float64(cl.CurMHz) * 1e6 // cycles per second of task work
 	switch typ {
 	case platform.Big:

@@ -86,9 +86,7 @@ func assemble(cfg Config) *Sim {
 	sys := sched.New(eng, soc, cfg.Sched)
 	sys.Tel, sys.Prof, sys.Xray = cfg.Telemetry, cfg.Profiler, cfg.Xray
 	pw := cfg.Power
-	sys.EnergyModel = func(typ platform.CoreType, mhz int) float64 {
-		return pw.CorePowerMW(typ, mhz, 1) - pw.CorePowerMW(typ, mhz, 0)
-	}
+	sys.EnergyModel = pw.MarginalMW
 	sys.Start()
 
 	sim := &Sim{cfg: cfg, eng: eng, soc: soc, sys: sys}

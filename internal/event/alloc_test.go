@@ -40,3 +40,22 @@ func TestZeroAllocCancel(t *testing.T) {
 		t.Fatalf("schedule+cancel allocates %.1f objects per cycle, want 0", avg)
 	}
 }
+
+// Reschedule moves a pending event in place: the scheduler reprograms every
+// busy core's completion on every tick through it.
+func TestZeroAllocReschedule(t *testing.T) {
+	e := New()
+	for i := 0; i < 64; i++ {
+		e.After(Time(i), noopHandler)
+	}
+	e.RunAll()
+	h := e.After(10, noopHandler)
+	e.After(20, noopHandler)
+
+	if avg := testing.AllocsPerRun(1000, func() {
+		h, _ = h.Reschedule(e.Now() + 5)
+		h, _ = h.Reschedule(e.Now() + 25)
+	}); avg != 0 {
+		t.Fatalf("reschedule allocates %.1f objects per cycle, want 0", avg)
+	}
+}

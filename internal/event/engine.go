@@ -99,6 +99,35 @@ func (h Handle) Cancel() bool {
 	return true
 }
 
+// Reschedule moves a pending event to fire at at instead, keeping its
+// handler, and returns the updated Handle and true. The event gets a fresh
+// scheduling sequence number, so its ordering key is exactly the one
+// Cancel followed by At would give it — without the free-list round trip
+// and the remove/re-insert pair of heap sifts. Rescheduling into the past
+// panics, as At does. On an event that already fired or was cancelled it
+// returns h and false, and the caller schedules afresh.
+func (h Handle) Reschedule(at Time) (Handle, bool) {
+	if h.e == nil {
+		return h, false
+	}
+	e := h.e
+	n := &e.nodes[h.id]
+	if n.gen != h.gen || n.index < 0 {
+		return h, false
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("event: rescheduling at %v before now %v", at, e.now))
+	}
+	i := int(n.index)
+	e.heap[i].at = at
+	e.heap[i].seq = e.seq
+	e.seq++
+	e.siftDown(i)
+	e.siftUp(int(n.index))
+	h.at = at
+	return h, true
+}
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
 	now     Time
@@ -108,6 +137,11 @@ type Engine struct {
 	nodes   []node
 	free    []int32
 	stopped bool
+	// until is the horizon: Run's end, the firing event's own time under
+	// Step and RunAll, Now after Stop. No event after it fires before the
+	// caller regains control, so NextAt caps at it and tick elision never
+	// reaches past a pause point.
+	until Time
 }
 
 // New returns a fresh Engine with the clock at zero.
@@ -120,9 +154,11 @@ func (e *Engine) Now() Time { return e.now }
 // removed immediately, so they never count.
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// Fired returns the number of events that have fired so far. Together with
-// Scheduled it fingerprints the engine's progress: two deterministic runs
-// that have processed the same event sequence report the same counters.
+// Fired returns the number of events that have fired so far, including the
+// periodic events a subscriber elided with Skip (the scheduler's idle
+// ticks). Together with Scheduled it fingerprints the engine's progress: two
+// deterministic runs that have processed the same event sequence report the
+// same counters, whether or not their idle ticks were elided.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Scheduled returns the number of events ever scheduled (including ones
@@ -168,8 +204,36 @@ func (e *Engine) At(at Time, fn Handler) Handle {
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Time, fn Handler) Handle { return e.At(e.now+d, fn) }
 
-// Stop makes Run return after the currently-firing event completes.
-func (e *Engine) Stop() { e.stopped = true }
+// Stop makes Run return after the currently-firing event completes. It also
+// clamps the horizon to Now, so nothing may be elided past the stop.
+func (e *Engine) Stop() {
+	e.stopped = true
+	e.until = e.now
+}
+
+// NextAt returns the time of the earliest pending event, capped at the
+// current horizon + 1: the end of the running Run (or Now outside one, or
+// after Stop). A periodic handler that finds nothing to do may elide its
+// own firings strictly before NextAt — no other event can fire, and no
+// pause point can fall, in between.
+func (e *Engine) NextAt() Time {
+	limit := e.until + 1
+	if len(e.heap) > 0 && e.heap[0].at < limit {
+		return e.heap[0].at
+	}
+	return limit
+}
+
+// Skip accounts for n elided event firings: each would have fired once and
+// scheduled its successor once, so both the sequence and the fired counters
+// advance by n. Every event scheduled afterwards then gets the same (at,
+// seq) ordering key it would have had if the elided events had really
+// fired, which keeps the firing order and the Fired/Scheduled fingerprint
+// identical to an eager run.
+func (e *Engine) Skip(n uint64) {
+	e.seq += n
+	e.fired += n
+}
 
 // less orders entries by time, then scheduling sequence (FIFO among
 // equal-time events). seq is unique, so this is a total order and the firing
@@ -260,13 +324,15 @@ func (e *Engine) popMin() (Handler, Time) {
 }
 
 // Step fires the single earliest pending event and returns true, or returns
-// false if no events remain.
+// false if no events remain. The horizon is the event's own time, so a
+// stepped handler elides nothing.
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
 	fn, at := e.popMin()
 	e.now = at
+	e.until = at
 	fn(at)
 	return true
 }
@@ -277,6 +343,7 @@ func (e *Engine) Step() bool {
 // or to the last fired event otherwise.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
+	e.until = until
 	for !e.stopped && len(e.heap) > 0 && e.heap[0].at <= until {
 		fn, at := e.popMin()
 		e.now = at
@@ -287,12 +354,14 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// RunAll fires events until the queue is empty or Stop is called.
+// RunAll fires events until the queue is empty or Stop is called. It has no
+// horizon beyond each firing event's own time, so handlers elide nothing.
 func (e *Engine) RunAll() {
 	e.stopped = false
 	for !e.stopped && len(e.heap) > 0 {
 		fn, at := e.popMin()
 		e.now = at
+		e.until = at
 		fn(at)
 	}
 }

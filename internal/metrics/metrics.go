@@ -86,9 +86,9 @@ type Sampler struct {
 	// utilization — used by the tiny-core extension study.
 	TinySamples int
 	// utilSum accumulates per-core-type utilization for averages
-	// (summed over online cores and samples).
-	utilSum   map[platform.CoreType]float64
-	utilCount map[platform.CoreType]int
+	// (summed over online cores and samples), indexed by CoreType.
+	utilSum   [3]float64
+	utilCount [3]int
 
 	// Residency accumulates active time per (core type, MHz) — Figures 9/10
 	// count only periods where the cluster had at least one active core.
@@ -114,8 +114,6 @@ func NewSampler(sys *sched.System, pw power.Params) *Sampler {
 			platform.Big:    {},
 			platform.Tiny:   {},
 		},
-		utilSum:       map[platform.CoreType]float64{},
-		utilCount:     map[platform.CoreType]int{},
 		clusterActive: make([]bool, len(sys.SoC.Clusters)),
 	}
 	m.sampleFn = m.onSample

@@ -59,12 +59,8 @@ func (m *Sampler) Snapshot() Snap {
 		TinySamples: m.TinySamples,
 		EnergyMJ:    m.meter.EnergyMJ(),
 		Elapsed:     m.meter.Elapsed(),
-	}
-	for t, v := range m.utilSum {
-		sn.UtilSum[t] = v
-	}
-	for t, n := range m.utilCount {
-		sn.UtilCount[t] = n
+		UtilSum:     m.utilSum,
+		UtilCount:   m.utilCount,
 	}
 	for t, byMHz := range m.Residency {
 		for mhz, ns := range byMHz {
@@ -97,14 +93,8 @@ func (m *Sampler) Restore(sn *Snap) error {
 	m.Samples = sn.Samples
 	m.Eff = sn.Eff
 	m.TinySamples = sn.TinySamples
-	for t := range sn.UtilSum {
-		if sn.UtilSum[t] != 0 {
-			m.utilSum[platform.CoreType(t)] = sn.UtilSum[t]
-		}
-		if sn.UtilCount[t] != 0 {
-			m.utilCount[platform.CoreType(t)] = sn.UtilCount[t]
-		}
-	}
+	m.utilSum = sn.UtilSum
+	m.utilCount = sn.UtilCount
 	for _, e := range sn.Residency {
 		byMHz := m.Residency[e.Type]
 		if byMHz == nil {

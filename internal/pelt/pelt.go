@@ -43,8 +43,9 @@ func (t *Tracker) HalfLifeMs() int { return t.halfLife }
 // Update advances one 1 ms period. ranFrac is the fraction of the period the
 // task spent running (or runnable, per HMP semantics), in [0,1]; freqScale is
 // current/maximum frequency of the CPU it ran on, making the contribution
-// frequency-invariant. Sleeping tasks are NOT updated ("if a task enters the
-// sleep state, its load is not updated") — simply do not call Update.
+// frequency-invariant. A sleeping task contributes nothing ("if a task
+// enters the sleep state, its load is not updated"): its periods are
+// Update(0, f) steps, which Decay applies in bulk.
 func (t *Tracker) Update(ranFrac, freqScale float64) {
 	if ranFrac < 0 {
 		ranFrac = 0
@@ -60,6 +61,31 @@ func (t *Tracker) Update(ranFrac, freqScale float64) {
 	}
 	contrib := Scale * ranFrac * freqScale
 	t.load = t.load*t.decay + contrib*(1-t.decay)
+}
+
+// Decay advances n periods in which the task did not run: n sequential
+// load = load·y + 0 steps, each bit-identical to Update(0, f) for any f.
+// The scheduler uses it to catch a sleeping task's history up lazily, at its
+// next read, instead of decaying it every tick. A closed form (load·yⁿ via
+// math.Pow) would round differently, so the steps are taken one by one,
+// until one leaves the load unchanged: from that fixed point (zero, or a
+// subnormal that rounds back to itself) every further step is a no-op.
+//
+// The "+ 0" of a step matters only to a load of -0, which it turns into +0;
+// every other load is non-negative, so the loop multiplies alone (half the
+// dependent latency per step) and applies the "+ 0" once, on exit at a
+// fixed point — the only way a -0 can leave the loop.
+func (t *Tracker) Decay(n uint64) {
+	load := t.load
+	for ; n > 0; n-- {
+		next := load * t.decay
+		if next == load {
+			load = next + 0
+			break
+		}
+		load = next
+	}
+	t.load = load
 }
 
 // Load returns the tracked load in [0, Scale].

@@ -144,3 +144,32 @@ func TestPropertyMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Decay(n) is the scheduler's lazy catch-up for a sleeping task, so it must
+// be bitwise equal to n eager Update(0, f) steps whatever f the eager path
+// would have passed — across half-lives, from full, partial, and subnormal
+// loads, and far enough (40000 steps) that every load has decayed into its
+// subnormal fixed point.
+func TestDecayMatchesUpdates(t *testing.T) {
+	starts := []float64{Scale, 700.123456789, 1, math.SmallestNonzeroFloat64 * 8, 0, math.Copysign(0, -1)}
+	counts := []uint64{0, 1, 2, 31, 32, 33, 1000, 40000}
+	for _, hl := range []int{16, 32, 64} {
+		for _, f := range []float64{0, 0.5, 1} {
+			for _, start := range starts {
+				for _, n := range counts {
+					eager, lazy := NewTracker(hl), NewTracker(hl)
+					eager.Set(start)
+					lazy.Set(start)
+					for i := uint64(0); i < n; i++ {
+						eager.Update(0, f)
+					}
+					lazy.Decay(n)
+					if e, l := math.Float64bits(eager.LoadF()), math.Float64bits(lazy.LoadF()); e != l {
+						t.Fatalf("hl %d f %v start %v n %d: Decay %x (%v), Update×n %x (%v)",
+							hl, f, start, n, l, lazy.LoadF(), e, eager.LoadF())
+					}
+				}
+			}
+		}
+	}
+}

@@ -32,7 +32,7 @@ type TypeParams struct {
 }
 
 // Voltage returns the supply voltage at fMHz by linear interpolation.
-func (tp TypeParams) Voltage(fMHz int) float64 {
+func (tp *TypeParams) Voltage(fMHz int) float64 {
 	if fMHz <= tp.FMin {
 		return tp.VMin
 	}
@@ -105,27 +105,38 @@ func Snapdragon810Params() Params {
 	}
 }
 
-func (p Params) typeParams(t platform.CoreType) TypeParams {
+// The model's methods take pointer receivers: Params is 176 bytes, and they
+// run on every sampler interval and scheduler sync, where copying the struct
+// per call was a measurable share of a simulation's time.
+
+func (p *Params) typeParams(t platform.CoreType) *TypeParams {
 	switch t {
 	case platform.Big:
-		return p.Big
+		return &p.Big
 	case platform.Tiny:
-		return p.Tiny
+		return &p.Tiny
 	default:
-		return p.Little
+		return &p.Little
 	}
 }
 
 // CorePowerMW returns one online core's power at frequency fMHz and average
 // utilization util in [0,1]. Offline cores draw nothing (power gated).
-func (p Params) CorePowerMW(t platform.CoreType, fMHz int, util float64) float64 {
+func (p *Params) CorePowerMW(t platform.CoreType, fMHz int, util float64) float64 {
 	return p.CorePowerDeepMW(t, fMHz, util, 0)
+}
+
+// MarginalMW returns the power a core of type t at fMHz adds by running
+// flat out rather than idling: the energy-model cost of work that the
+// scheduler attributes to tasks and that EAS compares across clusters.
+func (p *Params) MarginalMW(t platform.CoreType, fMHz int) float64 {
+	return p.CorePowerMW(t, fMHz, 1) - p.CorePowerMW(t, fMHz, 0)
 }
 
 // CorePowerDeepMW extends CorePowerMW with the fraction of the interval the
 // core spent in the deep idle state, during which the idle overhead is
 // power-gated away (cpuidle cluster sleep).
-func (p Params) CorePowerDeepMW(t platform.CoreType, fMHz int, util, deepFrac float64) float64 {
+func (p *Params) CorePowerDeepMW(t platform.CoreType, fMHz int, util, deepFrac float64) float64 {
 	if util < 0 {
 		util = 0
 	}
@@ -157,7 +168,7 @@ type CoreLoad struct {
 }
 
 // SystemPowerMW returns whole-system power for a set of online core states.
-func (p Params) SystemPowerMW(cores []CoreLoad) float64 {
+func (p *Params) SystemPowerMW(cores []CoreLoad) float64 {
 	total := p.BaseMW
 	for _, c := range cores {
 		total += p.CorePowerDeepMW(c.Type, c.MHz, c.Util, c.DeepFrac)

@@ -92,8 +92,12 @@ type Task struct {
 	// OnIdle fires when the task drains all queued work and goes to sleep.
 	OnIdle func(now event.Time)
 
-	sys       *System
-	tracker   *pelt.Tracker
+	sys     *System
+	tracker *pelt.Tracker
+	// decayed is the System.ticks count the tracker is current through;
+	// the ticks since then all found the task asleep, and their decay is
+	// applied on the next read (see caughtUp).
+	decayed   uint64
 	state     State
 	cpu       int // current queue, -1 when sleeping
 	pinned    int // affinity: -1 means any core
@@ -129,7 +133,19 @@ type Task struct {
 }
 
 // Load returns the task's tracked HMP load (0..1024).
-func (t *Task) Load() int { return t.tracker.Load() }
+func (t *Task) Load() int { return t.caughtUp().Load() }
+
+// caughtUp applies the decay of the ticks the task slept through since its
+// tracker was last touched, and returns the tracker. Each deferred tick is
+// the same load·y step the eager update would have taken (pelt.Decay), so
+// every read sees exactly the value an every-tick update would have left.
+func (t *Task) caughtUp() *pelt.Tracker {
+	if t.decayed < t.sys.ticks {
+		t.tracker.Decay(t.sys.ticks - t.decayed)
+		t.decayed = t.sys.ticks
+	}
+	return t.tracker
+}
 
 // Pin restricts the task to one core: it always wakes there and is exempt
 // from HMP migration and load balancing (the kernel's CPU affinity mask).
@@ -142,8 +158,8 @@ func (t *Task) Pin(cpu int) { t.pinned = cpu }
 // responding threads are immediately eligible for a big core. The boost
 // decays through normal load tracking.
 func (t *Task) Boost(v int) {
-	if float64(v) > t.tracker.LoadF() {
-		t.tracker.Set(float64(v))
+	if tr := t.caughtUp(); float64(v) > tr.LoadF() {
+		tr.Set(float64(v))
 		if t.sys != nil && t.sys.Tel != nil {
 			t.sys.Tel.Emit(telemetry.Event{
 				At: t.sys.Eng.Now(), Kind: telemetry.KindBoost,
@@ -155,7 +171,7 @@ func (t *Task) Boost(v int) {
 	}
 }
 
-// State returns the current lifecycle state.
+// CurState returns the current lifecycle state.
 func (t *Task) CurState() State { return t.state }
 
 // CPU returns the core the task is queued on, or -1.
@@ -176,6 +192,11 @@ type cpu struct {
 	completion event.Handle
 	completeFn event.Handler
 	sliceUsed  int // consecutive ticks the head has run (for round-robin)
+	// emMHz/emMW cache EnergyModel(typ, emMHz): the model is a pure function
+	// of (type, MHz), so it is re-evaluated only when the cluster's
+	// frequency has changed since the last sync.
+	emMHz int
+	emMW  float64
 	// idleSince marks when the core last became idle; deepCum accumulates
 	// time spent in the deep idle state (after Cfg.DeepIdleAfter of idling).
 	idleSince event.Time
@@ -193,11 +214,15 @@ type System struct {
 	SoC *platform.SoC
 	Cfg Config
 
-	cpus    []*cpu
-	tasks   []*Task
-	tick    event.Time
-	tickFn  event.Handler // onTick bound once; re-arming it must not allocate
-	tickEv  event.Handle  // the pending tick (retained for snapshot capture)
+	cpus   []*cpu
+	tasks  []*Task
+	tick   event.Time
+	tickFn event.Handler // onTick bound once; re-arming it must not allocate
+	tickEv event.Handle  // the pending tick (retained for snapshot capture)
+	// ticks counts load-tracking periods, elided idle ticks included; a
+	// task's tracker is decayed up to it lazily (Task.caughtUp).
+	ticks   uint64
+	elided  uint64 // ticks skipped while dormant (see onTick)
 	started bool
 	// tickSubs run in attach order at the end of every tick (see OnTick).
 	tickSubs []func(now event.Time)
@@ -242,7 +267,9 @@ type System struct {
 
 	// EnergyModel, if set, returns the marginal active power (mW) of a core
 	// of the given type at the given frequency; the scheduler uses it to
-	// attribute energy to the running task in sync.
+	// attribute energy to the running task in sync. It must be a pure
+	// function of (type, MHz) and must be set before the run starts: each
+	// cpu caches its value until its cluster's frequency changes.
 	EnergyModel func(typ platform.CoreType, mhz int) float64
 }
 
@@ -254,7 +281,7 @@ func New(eng *event.Engine, soc *platform.SoC, cfg Config) *System {
 	s := &System{Eng: eng, SoC: soc, Cfg: cfg, tick: event.Time(cfg.TickMs) * event.Millisecond}
 	s.tickFn = s.onTick
 	for i := range soc.Cores {
-		c := &cpu{id: i, typ: soc.Cores[i].Type}
+		c := &cpu{id: i, typ: soc.Cores[i].Type, emMHz: -1}
 		c.completeFn = func(at event.Time) { s.onCompletion(c, at) }
 		s.cpus = append(s.cpus, c)
 	}
@@ -351,8 +378,10 @@ func (s *System) sync(c *cpu, now event.Time) {
 	head.TotalWork += done
 	head.ranNs += dt
 	if s.EnergyModel != nil {
-		cl := s.SoC.ClusterOf(c.id)
-		head.EnergyMJ += dt.Seconds() * s.EnergyModel(c.typ, cl.CurMHz)
+		if mhz := s.SoC.ClusterOf(c.id).CurMHz; mhz != c.emMHz {
+			c.emMHz, c.emMW = mhz, s.EnergyModel(c.typ, mhz)
+		}
+		head.EnergyMJ += dt.Seconds() * c.emMW
 	}
 	switch c.typ {
 	case platform.Big:
@@ -381,6 +410,10 @@ func (s *System) SyncAll(now event.Time) {
 	}
 }
 
+// ElidedTicks returns how many scheduler ticks this System has skipped
+// while dormant instead of firing them (see onTick).
+func (s *System) ElidedTicks() uint64 { return s.elided }
+
 // BusyNs returns cumulative busy time of core id (valid after SyncAll).
 func (s *System) BusyNs(id int) event.Time { return s.cpus[id].busyCum }
 
@@ -391,24 +424,28 @@ func (s *System) DeepIdleNs(id int) event.Time { return s.cpus[id].deepCum }
 // QueueLen returns the run-queue length of core id.
 func (s *System) QueueLen(id int) int { return len(s.cpus[id].queue) }
 
-// dispatch (re)programs the completion event for cpu c's head task.
+// dispatch (re)programs the completion event for cpu c's head task. A
+// still-pending completion is moved in place (Handle.Reschedule), which
+// gives it the same ordering key as cancelling and re-adding it would.
 func (s *System) dispatch(c *cpu, now event.Time) {
+	if len(c.queue) > 0 {
+		head := c.queue[0]
+		head.state = Running
+		for i := 1; i < len(c.queue); i++ {
+			c.queue[i].state = Runnable
+		}
+		if r := s.rate(c, head); r > 0 {
+			at := now + event.Time(head.remaining/r) + 1
+			if h, ok := c.completion.Reschedule(at); ok {
+				c.completion = h
+			} else {
+				c.completion = s.Eng.At(at, c.completeFn)
+			}
+			return
+		}
+	}
 	c.completion.Cancel()
 	c.completion = event.Handle{}
-	if len(c.queue) == 0 {
-		return
-	}
-	head := c.queue[0]
-	head.state = Running
-	for i := 1; i < len(c.queue); i++ {
-		c.queue[i].state = Runnable
-	}
-	r := s.rate(c, head)
-	if r <= 0 {
-		return
-	}
-	ns := event.Time(head.remaining/r) + 1
-	c.completion = s.Eng.At(now+ns, c.completeFn)
 }
 
 // onCompletion handles the head task finishing its current segment.
@@ -447,7 +484,7 @@ func (s *System) onCompletion(c *cpu, now event.Time) {
 	c.sliceUsed = 0
 	head.state = Sleeping
 	head.cpu = -1
-	head.sleepLoad = 0.5*head.sleepLoad + 0.5*head.tracker.LoadF()
+	head.sleepLoad = 0.5*head.sleepLoad + 0.5*head.caughtUp().LoadF()
 	if head.OnSegment != nil {
 		head.OnSegment(now)
 	}
@@ -624,6 +661,16 @@ func (s *System) pickCPU(typ platform.CoreType, t *Task) *cpu {
 
 // onTick is the scheduler tick: accounting, load update, HMP migration,
 // intra-cluster balancing, and round-robin rotation.
+//
+// While the system is dormant (see dormant) the tick is tickless: an eager
+// tick there would only sync idle cores, decay sleeping loads (which
+// caughtUp defers anyway), and re-arm itself. So the ticks strictly before
+// the next pending event are elided — counted on the engine with Skip so
+// every later event keeps its eager (at, seq) key and Fired/Scheduled stay
+// exact — and the last one's SyncAll is done directly, which leaves
+// lastSync and the deep-idle sums as the eager run would. NextAt never
+// reaches past the running horizon, so a RunTo pause (and a snapshot there)
+// sees the same pending tick as an eager run.
 func (s *System) onTick(now event.Time) {
 	s.SyncAll(now)
 	s.updateLoads(now)
@@ -640,18 +687,57 @@ func (s *System) onTick(now event.Time) {
 	for _, fn := range s.tickSubs {
 		fn(now)
 	}
-	s.tickEv = s.Eng.After(s.tick, s.tickFn)
+	next := now + s.tick
+	if s.dormant() {
+		if until := s.Eng.NextAt(); next < until {
+			k := (until - 1 - now) / s.tick // ticks in (now, until)
+			last := now + k*s.tick
+			s.Eng.Skip(uint64(k))
+			s.ticks += uint64(k)
+			s.elided += uint64(k)
+			s.SyncAll(last)
+			next = last + s.tick
+		}
+	}
+	s.tickEv = s.Eng.At(next, s.tickFn)
+}
+
+// dormant reports whether the next ticks would change nothing but the clock
+// sync and the sleeping loads' decay: every run queue is empty, every task
+// is asleep, and nothing runs per tick — no MigrateHook policy (EAS, for
+// one, measures busy time since its previous tick) and no OnTick
+// subscriber.
+func (s *System) dormant() bool {
+	if s.MigrateHook != nil || len(s.tickSubs) > 0 {
+		return false
+	}
+	for _, c := range s.cpus {
+		if len(c.queue) > 0 {
+			return false
+		}
+	}
+	for _, t := range s.tasks {
+		if t.state != Sleeping {
+			return false
+		}
+	}
+	return true
 }
 
 // updateLoads feeds each task's tracker with its runnable fraction of the
 // tick, scaled by current/max frequency of the cluster it sits on. A task
-// asleep for the whole tick contributes nothing but still decays — in the
-// kernel's load tracking, slept periods are decayed into the history when
-// the task next wakes, so a bursty task's load converges to its duty cycle
-// rather than its burst intensity.
+// asleep for the whole tick contributes nothing but still decays; as in
+// the kernel's load tracking, the slept periods are decayed into the
+// history when the task is next read — at its wake, or by anything that
+// inspects its load — rather than here (see caughtUp). A bursty task's
+// load therefore converges to its duty cycle rather than its burst
+// intensity.
 func (s *System) updateLoads(now event.Time) {
 	tickStart := now - s.tick
 	for _, t := range s.tasks {
+		if t.state == Sleeping && t.ranNs == 0 {
+			continue
+		}
 		var activeNs event.Time
 		switch t.state {
 		case Sleeping:
@@ -675,9 +761,11 @@ func (s *System) updateLoads(now event.Time) {
 			cl := s.SoC.ClusterOf(t.lastCPU)
 			fs = float64(cl.CurMHz) / float64(cl.MaxMHz())
 		}
-		t.tracker.Update(frac, fs)
+		t.caughtUp().Update(frac, fs)
+		t.decayed++ // current through this tick, which s.ticks counts below
 		t.ranNs = 0
 	}
+	s.ticks++
 }
 
 // hmpMigrate applies Algorithm 1's up/down migration rules, generalized to

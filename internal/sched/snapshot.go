@@ -10,7 +10,10 @@ import (
 // Capture is a pure read of the lazily-synced state — it deliberately does
 // NOT SyncAll first, because splitting an accounting interval at the capture
 // point would change floating-point accumulation order versus an
-// uninterrupted run and break byte-identity. Pending engine events
+// uninterrupted run and break byte-identity. Lazily decayed loads are the
+// exception that is safe: catching a sleeping task's tracker up applies the
+// same per-tick steps the next read would, so each task's load is captured
+// current and Restore needs no per-task decay position. Pending engine events
 // (completions, the tick, in-flight deep-idle wakes) are captured as
 // (at, seq) keys and re-bound onto the once-bound handlers at restore.
 
@@ -90,8 +93,9 @@ func (sn *Snap) PendingEvents() int {
 	return n
 }
 
-// Snapshot captures the scheduler's dynamic state. It does not mutate the
-// system.
+// Snapshot captures the scheduler's dynamic state. It changes nothing
+// observable: the only write is the deferred decay of sleeping tasks'
+// loads, which any later read would apply identically.
 func (s *System) Snapshot() Snap {
 	sn := Snap{Started: s.started}
 	if seq, ok := s.tickEv.EventSeq(); ok {
@@ -107,7 +111,7 @@ func (s *System) Snapshot() Snap {
 			RanNs:     t.ranNs,
 			WokeAt:    t.wokeAt,
 			SleepLoad: t.sleepLoad,
-			Load:      t.tracker.LoadF(),
+			Load:      t.caughtUp().LoadF(),
 
 			TotalWork:    t.TotalWork,
 			Migrations:   t.Migrations,
@@ -168,7 +172,8 @@ func (s *System) Restore(sn *Snap) error {
 		t.ranNs = ts.RanNs
 		t.wokeAt = ts.WokeAt
 		t.sleepLoad = ts.SleepLoad
-		t.tracker.Set(ts.Load)
+		t.tracker.Set(ts.Load) // captured caught up
+		t.decayed = s.ticks
 		t.TotalWork = ts.TotalWork
 		t.Migrations = ts.Migrations
 		t.SegmentsDone = ts.SegmentsDone
