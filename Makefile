@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test test-race bench bench-smoke bench-baseline bench-compare bench-record xray-smoke diff-smoke profile-single serve-smoke fleet-smoke fork-smoke explore-smoke report quick-report report-par cover fuzz-smoke golden-update fmt vet all
+.PHONY: build test test-race bench bench-smoke bench-baseline bench-compare bench-record xray-smoke diff-smoke profile-single serve-smoke fleet-smoke fork-smoke explore-smoke report quick-report report-par report-full cover fuzz-smoke golden-update fmt vet all
 
 all: build vet test test-race
 
@@ -199,6 +199,18 @@ report-par:
 		cmp /tmp/report-cold.txt /tmp/report-warm.txt || { echo "report-par: cold and warm output differ" >&2; exit 1; }; \
 		cmp /tmp/report-cold.txt /tmp/report-nocache.txt || { echo "report-par: cached and uncached output differ" >&2; exit 1; }; \
 		echo "report-par: OK"
+
+# The full golden master: a cold, uncached full report must equal the
+# committed report_full.txt byte for byte. This is the one end-to-end check
+# of the kernel shortcuts (tick elision, inline ticks, sampler and governor
+# catch-up) across every governor and tuning section; the golden-master
+# tests attach the auditor, which keeps the system from ever going dormant.
+report-full:
+	go build -o /tmp/blreport ./cmd/blreport
+	/tmp/blreport -no-cache >/tmp/report-full.txt 2>/tmp/report-full.log
+	cat /tmp/report-full.log
+	cmp /tmp/report-full.txt report_full.txt || { echo "report-full: report differs from report_full.txt" >&2; exit 1; }
+	@echo "report-full: OK"
 
 # Line-coverage floors for the simulation kernel packages. The profile can
 # contain one copy of each block per test binary, so blocks are deduplicated

@@ -52,7 +52,7 @@ func (e *Efficiency) wakeType(t *sched.Task) platform.CoreType {
 }
 
 func (e *Efficiency) rebalance(now event.Time) {
-	bigSlots := len(e.sys.SoC.OnlineCores(platform.Big))
+	bigSlots := e.sys.SoC.OnlineCount(platform.Big)
 	var candidates []*sched.Task
 	for _, t := range e.sys.Tasks() {
 		if t.CurState() == sched.Sleeping || t.Load() < minActiveLoad {
@@ -108,8 +108,8 @@ func (p *Parallelism) rebalance(now event.Time) {
 			active = append(active, t)
 		}
 	}
-	littleSlots := len(p.sys.SoC.OnlineCores(platform.Little))
-	bigSlots := len(p.sys.SoC.OnlineCores(platform.Big))
+	littleSlots := p.sys.SoC.OnlineCount(platform.Little)
+	bigSlots := p.sys.SoC.OnlineCount(platform.Big)
 
 	if len(active) <= bigSlots {
 		// Serial phase (low parallelism): the few loaded threads form the

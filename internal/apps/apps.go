@@ -153,6 +153,29 @@ func frameChain(ctx *workload.Ctx, period event.Time, logic frameStage, parallel
 	}
 
 	inFlight := 0 // triple buffering: up to two frames may be in flight
+	// logicDone fans a frame's logic stage out to the parallel stages; it
+	// holds no per-frame state, so one handler serves every frame.
+	logicDone := func(event.Time) {
+		remaining := len(parallel)
+		if remaining == 0 {
+			inFlight--
+			if ctx.FPS != nil {
+				ctx.FPS.FrameDone(ctx.Eng.Now())
+			}
+			return
+		}
+		for _, st := range parallel {
+			st.th.Push(st.work(), func(fin event.Time) {
+				remaining--
+				if remaining == 0 {
+					inFlight--
+					if ctx.FPS != nil {
+						ctx.FPS.FrameDone(fin)
+					}
+				}
+			})
+		}
+	}
 	var tick func(now event.Time)
 	tick = func(now event.Time) {
 		if now >= ctx.Duration {
@@ -167,27 +190,7 @@ func frameChain(ctx *workload.Ctx, period event.Time, logic frameStage, parallel
 			return // frame dropped
 		}
 		inFlight++
-		logic.th.Push(logic.work(), func(event.Time) {
-			remaining := len(parallel)
-			if remaining == 0 {
-				inFlight--
-				if ctx.FPS != nil {
-					ctx.FPS.FrameDone(ctx.Eng.Now())
-				}
-				return
-			}
-			for _, st := range parallel {
-				st.th.Push(st.work(), func(fin event.Time) {
-					remaining--
-					if remaining == 0 {
-						inFlight--
-						if ctx.FPS != nil {
-							ctx.FPS.FrameDone(fin)
-						}
-					}
-				})
-			}
-		})
+		logic.th.Push(logic.work(), logicDone)
 	}
 	ctx.After(0, tick)
 }

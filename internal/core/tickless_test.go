@@ -8,70 +8,20 @@ import (
 
 	"biglittle/internal/apps"
 	"biglittle/internal/event"
+	"biglittle/internal/metrics"
 	"biglittle/internal/platform"
-	"biglittle/internal/sched"
-	"biglittle/internal/snapshot"
-	"biglittle/internal/workload"
+	"biglittle/internal/thermal"
 )
 
-// eager makes cfg the eager reference run. An OnTick subscriber is one of
-// the existing conditions under which the scheduler never elides a tick,
-// and this one only reads every task's load, which catches each sleeping
-// task's decay up at every tick — so the reference also tracks load
-// eagerly, as the kernel did before decay became lazy.
-func eager(cfg Config) Config {
-	cfg.OnSystem = func(sys *sched.System) {
-		sys.OnTick(func(event.Time) {
-			for _, t := range sys.Tasks() {
-				t.Load()
-			}
-		})
-	}
-	return cfg
-}
-
-// steppedRun is everything the tickless kernel must leave unchanged.
-type steppedRun struct {
-	res              Result
-	fired, scheduled uint64
-	blobs            [][]byte // encoded snapshots at 25/50/75% of the run
-	elided           uint64
-}
-
-// runStepped runs cfg to the end in quarters, encoding a snapshot at each
-// pause. It assembles the recording sim directly rather than through NewSim
-// so the eager reference, whose OnSystem hook NewSim rejects, can snapshot
-// too.
-func runStepped(t *testing.T, cfg Config) steppedRun {
-	t.Helper()
-	cfg = cfg.Normalized()
-	sim := newSim(cfg, workload.NewRecorder())
-	var out steppedRun
-	for q := event.Time(1); q <= 3; q++ {
-		sim.RunTo(cfg.Duration * q / 4)
-		st, err := sim.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := snapshot.Encode(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.blobs = append(out.blobs, blob)
-	}
-	sim.RunTo(cfg.Duration)
-	out.fired, out.scheduled = sim.eng.Fired(), sim.eng.Scheduled()
-	out.elided = sim.sys.ElidedTicks()
-	out.res = sim.Finish()
-	return out
-}
-
-// TestTicklessMatchesEager pins the tickless kernel's contract: eliding
-// idle ticks and decaying sleeping loads lazily changes no observable bit.
-// Every app, on the default platform, a §V-C hotplug configuration, the
-// tiny-core platform, with deep idle, and under a non-interactive governor,
-// produces the same Result, the same engine counters, and the same snapshot
-// blobs as the eager-tick run, and the same Result as a plain Run.
+// TestTicklessMatchesEager pins the kernel shortcuts' contract: eliding
+// idle ticks, running ticks inline, replaying sampler, governor and thermal
+// firings on dormant ticks, skipping idle-core syncs, sifting rescheduled
+// completions one way and decaying sleeping loads lazily change no
+// observable bit. Every app, on the default platform, a §V-C hotplug
+// configuration, the tiny-core platform, with deep idle, under a
+// non-interactive governor and with a throttling thermal model, produces
+// the same Result, the same engine counters, and the same snapshot blobs as
+// the truly eager run (newEagerSim), and the same Result as a plain Run.
 func TestTicklessMatchesEager(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -85,6 +35,13 @@ func TestTicklessMatchesEager(t *testing.T) {
 			c.Sched.DeepIdleWake = event.Millisecond
 		}},
 		{"ondemand", func(c *Config) { c.Governor = Ondemand }},
+		{"thermal", func(c *Config) {
+			// A fast, low envelope: most apps throttle and release within
+			// the run, some of it during dormant stretches.
+			par := thermal.Default()
+			par.TripC, par.ClearC, par.SampleMs, par.TimeConstant = 31, 29, 30, 300*event.Millisecond
+			c.Thermal = &par
+		}},
 	}
 	for _, v := range variants {
 		for _, app := range apps.All() {
@@ -98,41 +55,57 @@ func TestTicklessMatchesEager(t *testing.T) {
 				// tick would.
 				cfg.Duration = 4*event.Second + 2*event.Millisecond
 				v.mutate(&cfg)
-				want := runStepped(t, eager(cfg))
-				got := runStepped(t, cfg)
-				if want.elided != 0 {
-					t.Fatalf("eager reference elided %d ticks", want.elided)
+				want := RunTrial(t, cfg, true)
+				got := RunTrial(t, cfg, false)
+				if n := want.Shortcuts(); n != 0 {
+					t.Fatalf("eager reference took %d shortcuts", n)
 				}
-				if got.fired != want.fired || got.scheduled != want.scheduled {
+				if got.Shortcuts() == 0 {
+					t.Fatalf("run took no shortcut")
+				}
+				if got.Fired != want.Fired || got.Scheduled != want.Scheduled {
 					t.Fatalf("engine counters fired/scheduled %d/%d, eager %d/%d",
-						got.fired, got.scheduled, want.fired, want.scheduled)
+						got.Fired, got.Scheduled, want.Fired, want.Scheduled)
 				}
-				for i := range want.blobs {
-					if !bytes.Equal(got.blobs[i], want.blobs[i]) {
+				for i := range want.Blobs {
+					if !bytes.Equal(got.Blobs[i], want.Blobs[i]) {
 						t.Fatalf("snapshot at %d%% differs from the eager run's", 25*(i+1))
 					}
 				}
-				if !reflect.DeepEqual(got.res, want.res) {
-					t.Fatalf("Result diverged from the eager run\neager:    %+v\ntickless: %+v", want.res, got.res)
+				if !reflect.DeepEqual(got.Result, want.Result) {
+					t.Fatalf("Result diverged from the eager run\neager:    %+v\ntickless: %+v", want.Result, got.Result)
 				}
-				if plain := Run(cfg); !reflect.DeepEqual(plain, want.res) {
-					t.Fatalf("plain Run diverged from the eager run\neager: %+v\nplain: %+v", want.res, plain)
+				if plain := Run(cfg); !reflect.DeepEqual(plain, want.Result) {
+					t.Fatalf("plain Run diverged from the eager run\neager: %+v\nplain: %+v", want.Result, plain)
 				}
 			})
 		}
 	}
 }
 
-// TestTicklessElides guards against a change that silently disables
-// elision: the browser, idle for most of a 30 s run, must skip at least 70%
-// of its 30 000 ticks.
+// TestTicklessElides guards against a change that silently disables a
+// shortcut. Over 30 s, the browser, idle most of the time, must skip at
+// least 70% of its 30 000 ticks and replay at least 70% of its 3 000
+// sampler firings inline instead of popping them; fifa15, busy most of the
+// time, must run at least 40% of the ticks it fires inline.
 func TestTicklessElides(t *testing.T) {
-	cfg := DefaultConfig(apps.Browser())
-	sim := newSim(cfg.Normalized(), nil)
-	sim.RunTo(cfg.Duration)
-	ticks := uint64(cfg.Duration / event.Millisecond)
-	if got := sim.sys.ElidedTicks(); got*100 < ticks*70 {
+	ticks := uint64(30 * event.Second / event.Millisecond)
+	browser := newSim(DefaultConfig(apps.Browser()).Normalized(), nil)
+	browser.RunTo(30 * event.Second)
+	if got := browser.sys.ElidedTicks(); got*100 < ticks*70 {
 		t.Fatalf("browser elided %d of %d ticks (%.0f%%), want >= 70%%",
 			got, ticks, 100*float64(got)/float64(ticks))
+	}
+	samples := 30 * event.Second / metrics.SampleInterval
+	if got := browser.sampler.Replayed(); got*100 < int(samples)*70 {
+		t.Fatalf("browser replayed %d of %d sampler firings (%.0f%%), want >= 70%%",
+			got, samples, 100*float64(got)/float64(samples))
+	}
+	fifa := newSim(DefaultConfig(apps.FIFA15()).Normalized(), nil)
+	fifa.RunTo(30 * event.Second)
+	fired := ticks - fifa.sys.ElidedTicks()
+	if got := fifa.sys.InlineTicks(); got*100 < fired*40 {
+		t.Fatalf("fifa15 ran %d of %d fired ticks inline (%.0f%%), want >= 40%%",
+			got, fired, 100*float64(got)/float64(fired))
 	}
 }

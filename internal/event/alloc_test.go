@@ -42,7 +42,8 @@ func TestZeroAllocCancel(t *testing.T) {
 }
 
 // Reschedule moves a pending event in place: the scheduler reprograms every
-// busy core's completion on every tick through it.
+// busy core's completion on every tick through it. The loop moves the event
+// earlier (the up-only sift) and later (the down-only sift).
 func TestZeroAllocReschedule(t *testing.T) {
 	e := New()
 	for i := 0; i < 64; i++ {
@@ -57,5 +58,23 @@ func TestZeroAllocReschedule(t *testing.T) {
 		h, _ = h.Reschedule(e.Now() + 25)
 	}); avg != 0 {
 		t.Fatalf("reschedule allocates %.1f objects per cycle, want 0", avg)
+	}
+}
+
+// Inline tick batching accounts each elided re-arm with Skip and moves the
+// clock with Advance; neither may allocate.
+func TestZeroAllocAdvance(t *testing.T) {
+	e := New()
+	e.At(1<<40, noopHandler)
+	var avg float64
+	e.At(0, func(now Time) {
+		avg = testing.AllocsPerRun(1000, func() {
+			e.Skip(1)
+			e.Advance(e.Now() + 1)
+		})
+	})
+	e.Run(1 << 41)
+	if avg != 0 {
+		t.Fatalf("Skip+Advance allocates %.1f objects per inline firing, want 0", avg)
 	}
 }

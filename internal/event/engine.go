@@ -103,7 +103,10 @@ func (h Handle) Cancel() bool {
 // handler, and returns the updated Handle and true. The event gets a fresh
 // scheduling sequence number, so its ordering key is exactly the one
 // Cancel followed by At would give it — without the free-list round trip
-// and the remove/re-insert pair of heap sifts. Rescheduling into the past
+// and the remove/re-insert pair of heap sifts. The fresh seq is the largest
+// ever issued, so the key can only grow unless at moved earlier: a later or
+// equal time sifts down only, an earlier one up only, and the heap ends up
+// exactly as a down-then-up pair would leave it. Rescheduling into the past
 // panics, as At does. On an event that already fired or was cancelled it
 // returns h and false, and the caller schedules afresh.
 func (h Handle) Reschedule(at Time) (Handle, bool) {
@@ -119,11 +122,19 @@ func (h Handle) Reschedule(at Time) (Handle, bool) {
 		panic(fmt.Sprintf("event: rescheduling at %v before now %v", at, e.now))
 	}
 	i := int(n.index)
+	earlier := at < e.heap[i].at
 	e.heap[i].at = at
 	e.heap[i].seq = e.seq
 	e.seq++
-	e.siftDown(i)
-	e.siftUp(int(n.index))
+	switch {
+	case e.eager:
+		e.siftDown(i)
+		e.siftUp(int(n.index))
+	case earlier:
+		e.siftUp(i)
+	default:
+		e.siftDown(i)
+	}
 	h.at = at
 	return h, true
 }
@@ -142,6 +153,8 @@ type Engine struct {
 	// caller regains control, so NextAt caps at it and tick elision never
 	// reaches past a pause point.
 	until Time
+	// eager turns off every shortcut (see Eager).
+	eager bool
 }
 
 // New returns a fresh Engine with the clock at zero.
@@ -155,10 +168,12 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // Fired returns the number of events that have fired so far, including the
-// periodic events a subscriber elided with Skip (the scheduler's idle
-// ticks). Together with Scheduled it fingerprints the engine's progress: two
-// deterministic runs that have processed the same event sequence report the
-// same counters, whether or not their idle ticks were elided.
+// periodic firings a handler accounted with Skip instead of popping them
+// (the scheduler's elided and inline ticks, and the sampler and governor
+// firings a dormant tick replays). Together with Scheduled it fingerprints
+// the engine's progress: two deterministic runs that have processed the
+// same event sequence report the same counters, whatever shortcuts they
+// took.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Scheduled returns the number of events ever scheduled (including ones
@@ -211,12 +226,26 @@ func (e *Engine) Stop() {
 	e.until = e.now
 }
 
+// Eager turns off every shortcut the engine offers its handlers: NextAt
+// reports Now, so no periodic handler elides, batches or replays a firing,
+// Reschedule sifts both ways, and Shortcuts reports false to the handlers'
+// own. The run it leaves is the plain event-by-event reference the
+// equivalence tests compare the shortcuts against; nothing else sets it.
+func (e *Engine) Eager() { e.eager = true }
+
+// Shortcuts reports whether handlers may defer work an eager run does at
+// once (false on an Eager engine).
+func (e *Engine) Shortcuts() bool { return !e.eager }
+
 // NextAt returns the time of the earliest pending event, capped at the
 // current horizon + 1: the end of the running Run (or Now outside one, or
 // after Stop). A periodic handler that finds nothing to do may elide its
 // own firings strictly before NextAt — no other event can fire, and no
-// pause point can fall, in between.
+// pause point can fall, in between. On an Eager engine it returns Now.
 func (e *Engine) NextAt() Time {
+	if e.eager {
+		return e.now
+	}
 	limit := e.until + 1
 	if len(e.heap) > 0 && e.heap[0].at < limit {
 		return e.heap[0].at
@@ -233,6 +262,18 @@ func (e *Engine) NextAt() Time {
 func (e *Engine) Skip(n uint64) {
 	e.seq += n
 	e.fired += n
+}
+
+// Advance moves the clock to at from inside a handler that runs the next
+// firing of its own periodic event inline instead of re-arming it (the
+// caller accounts the re-arm with Skip). It panics unless now <= at <
+// NextAt(): nothing else may be due at or before at, so the inline firing
+// sees the clock, the queue and the horizon an eager run would.
+func (e *Engine) Advance(at Time) {
+	if at < e.now || at >= e.NextAt() {
+		panic(fmt.Sprintf("event: advancing to %v outside [now %v, next %v)", at, e.now, e.NextAt()))
+	}
+	e.now = at
 }
 
 // less orders entries by time, then scheduling sequence (FIFO among
@@ -314,7 +355,12 @@ func (e *Engine) removeAt(i int) {
 // handler and fire time. The caller must have checked len(e.heap) > 0.
 func (e *Engine) popMin() (Handler, Time) {
 	root := e.heap[0]
-	e.removeAt(0)
+	last := len(e.heap) - 1
+	e.heap[0] = e.heap[last]
+	e.heap = e.heap[:last]
+	if last > 0 {
+		e.siftDown(0) // the root can only move down
+	}
 	id := root.node
 	n := &e.nodes[id]
 	fn := n.fn

@@ -173,3 +173,72 @@ func TestSkip(t *testing.T) {
 		t.Fatalf("next event seq %d, want %d", s, seq+7)
 	}
 }
+
+// The one-way sift leaves the heap exactly as the down-then-up pair does:
+// an Eager engine, which sifts both ways, must hold the same entries in the
+// same slots after every reprogramming of a random queue.
+func TestOneWayRescheduleMatchesTwoWay(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		one, two := New(), New()
+		two.Eager()
+		var h1, h2 [16]Handle
+		for i := range h1 {
+			at := Time(rng.Intn(50))
+			h1[i], h2[i] = one.At(at, noopHandler), two.At(at, noopHandler)
+		}
+		for step := 0; step < 500; step++ {
+			i := rng.Intn(len(h1))
+			at := one.Now() + Time(rng.Intn(60))
+			var ok1, ok2 bool
+			h1[i], ok1 = h1[i].Reschedule(at)
+			h2[i], ok2 = h2[i].Reschedule(at)
+			if !ok1 || !ok2 {
+				t.Fatalf("seed %d step %d: Reschedule of a pending event failed", seed, step)
+			}
+			for k := range one.heap {
+				if one.heap[k].at != two.heap[k].at || one.heap[k].seq != two.heap[k].seq {
+					t.Fatalf("seed %d step %d: slot %d holds %+v, two-way sift %+v",
+						seed, step, k, one.heap[k], two.heap[k])
+				}
+			}
+		}
+	}
+}
+
+// Advance moves the clock only inside [Now, NextAt()), so an inline firing
+// can never pass a pending event or the horizon; an Eager engine's NextAt
+// is Now, which leaves nothing to advance into.
+func TestAdvance(t *testing.T) {
+	e := New()
+	panics := func(at Time) (p bool) {
+		defer func() { p = recover() != nil }()
+		e.Advance(at)
+		return false
+	}
+	var ok, past, atNext, beyond bool
+	e.At(10, func(now Time) {
+		ok = !panics(now) && !panics(now+4) && e.Now() == 14
+		past = panics(13)
+		atNext = panics(20)
+		beyond = panics(25)
+	})
+	e.At(20, noopHandler)
+	e.Run(100)
+	if !ok {
+		t.Fatal("Advance inside [now, NextAt) panicked or did not move the clock")
+	}
+	if !past || !atNext || !beyond {
+		t.Fatalf("Advance guard: into the past panics=%v, to NextAt panics=%v, beyond it panics=%v; want all true",
+			past, atNext, beyond)
+	}
+	eager := New()
+	eager.Eager()
+	eager.At(10, func(now Time) {
+		if eager.NextAt() != now {
+			t.Errorf("Eager NextAt = %v, want Now %v", eager.NextAt(), now)
+		}
+	})
+	eager.At(50, noopHandler)
+	eager.Run(100)
+}

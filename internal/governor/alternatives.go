@@ -43,6 +43,7 @@ func newLoadSampler(sys *sched.System, name string, sampleMs int,
 		target:   target,
 	}
 	g.sampleFn = g.onSample
+	sys.Periodic(&g.sampleEv, g.sample, g.sampleFn, g.step)
 	return g
 }
 
@@ -52,6 +53,13 @@ func (g *loadSampler) Start() {
 }
 
 func (g *loadSampler) onSample(now event.Time) {
+	g.step(now)
+	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
+}
+
+// step is one sampling period at now, without the re-arm; a dormant
+// scheduler tick also runs it inline (see sched.System.Periodic).
+func (g *loadSampler) step(now event.Time) {
 	g.sys.SyncAll(now)
 	xr := g.sys.Xray
 	for ci := range g.sys.SoC.Clusters {
@@ -109,7 +117,6 @@ func (g *loadSampler) onSample(now event.Time) {
 			}
 		}
 	}
-	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 
 // NewOndemand builds the classic Linux ondemand governor: jump straight to

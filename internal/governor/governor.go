@@ -105,6 +105,7 @@ func NewInteractive(sys *sched.System, cfg InteractiveConfig) *Interactive {
 		g.hispeedSince[i] = -1
 	}
 	g.sampleFn = g.onSample
+	sys.Periodic(&g.sampleEv, g.sample, g.sampleFn, g.step)
 	return g
 }
 
@@ -128,6 +129,13 @@ func (g *Interactive) hispeed(t platform.CoreType) int {
 }
 
 func (g *Interactive) onSample(now event.Time) {
+	g.step(now)
+	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
+}
+
+// step is one sampling period of Algorithm 2 at now, without the re-arm; a
+// dormant scheduler tick also runs it inline (see sched.System.Periodic).
+func (g *Interactive) step(now event.Time) {
 	g.sys.SyncAll(now)
 	xr := g.sys.Xray
 	for ci := range g.sys.SoC.Clusters {
@@ -225,7 +233,6 @@ func (g *Interactive) onSample(now event.Time) {
 			g.FreqLog(now, ci, newMHz)
 		}
 	}
-	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 
 // markGovernorChoice copies the scratch candidate buffer into a fresh slice

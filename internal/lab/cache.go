@@ -1,12 +1,16 @@
 package lab
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sort"
+	"sync"
 	"time"
 
 	"biglittle/internal/core"
@@ -18,33 +22,105 @@ import (
 const schemaVersion = "1"
 
 // CodeVersion identifies the simulator build whose results populate the
-// cache: the VCS revision stamped into the binary (suffixed "+dirty" for
-// modified working trees), or "dev" when no stamp is available (e.g. test
-// binaries). Results from different code versions live in different cache
-// subdirectories, so a code change invalidates warm results without ever
-// serving stale ones.
+// cache: a hash of the running executable's Go build ID, which the
+// toolchain derives from every input of the build, so a binary built from
+// different code — one changed line of scheduler logic, a dirty tree, an
+// unstamped `go run` — keys its results apart, and the cache never serves a
+// number another build computed. An executable without a readable build ID
+// is hashed whole instead. It is computed once per process, on first use
+// (opening a disk cache or its prefix tier), and is "unknown" when the
+// executable cannot be read; Open refuses to cache in that case.
 func CodeVersion() string {
-	rev, dirty := "", false
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				dirty = s.Value == "true"
-			}
+	v, err := codeVersion()
+	if err != nil {
+		return "unknown"
+	}
+	return v
+}
+
+// codeVersion hashes the running executable's identity once per process.
+var codeVersion = sync.OnceValues(func() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", fmt.Errorf("lab: locate the running executable: %w", err)
+	}
+	h := sha256.New()
+	if id := goBuildID(exe); id != nil {
+		h.Write(id)
+	} else {
+		f, err := os.Open(exe)
+		if err != nil {
+			return "", fmt.Errorf("lab: read the running executable: %w", err)
+		}
+		defer f.Close()
+		if _, err := io.Copy(h, f); err != nil {
+			return "", fmt.Errorf("lab: hash the running executable: %w", err)
 		}
 	}
-	if rev == "" {
-		return "dev"
+	return hex.EncodeToString(h.Sum(nil))[:16], nil
+})
+
+// goBuildID returns the Go build ID note of the ELF executable at path, or
+// nil when it has none (another object format, or a build that blanked it).
+// The linker places the note in the first page, so reading it costs one
+// small read instead of the whole binary, and no object-file package.
+func goBuildID(path string) []byte {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
 	}
-	if len(rev) > 12 {
-		rev = rev[:12]
+	defer f.Close()
+	buf := make([]byte, 32<<10)
+	n, _ := io.ReadFull(f, buf)
+	buf = buf[:n]
+	if len(buf) < 64 || string(buf[:4]) != "\x7fELF" {
+		return nil
 	}
-	if dirty {
-		rev += "+dirty"
+	var bo binary.ByteOrder = binary.LittleEndian
+	if buf[5] == 2 {
+		bo = binary.BigEndian
 	}
-	return rev
+	// Program headers: where they are, how big, how many; 64- or 32-bit.
+	var phoff, phentsize, phnum uint64
+	is64 := buf[4] == 2
+	if is64 {
+		phoff, phentsize, phnum = bo.Uint64(buf[32:]), uint64(bo.Uint16(buf[54:])), uint64(bo.Uint16(buf[56:]))
+	} else {
+		phoff, phentsize, phnum = uint64(bo.Uint32(buf[28:])), uint64(bo.Uint16(buf[42:])), uint64(bo.Uint16(buf[44:]))
+	}
+	for i := uint64(0); i < phnum; i++ {
+		ph := phoff + i*phentsize
+		if ph+phentsize > uint64(len(buf)) || phentsize < 32 {
+			return nil
+		}
+		if bo.Uint32(buf[ph:]) != 4 { // PT_NOTE
+			continue
+		}
+		var off, size uint64
+		if is64 {
+			off, size = bo.Uint64(buf[ph+8:]), bo.Uint64(buf[ph+32:])
+		} else {
+			off, size = uint64(bo.Uint32(buf[ph+4:])), uint64(bo.Uint32(buf[ph+16:]))
+		}
+		if off+size > uint64(len(buf)) {
+			continue
+		}
+		// Notes: name size, descriptor size, type, padded name, padded
+		// descriptor. Go's build ID is name "Go", type 4.
+		for note := buf[off : off+size]; len(note) >= 12; {
+			nameSz, descSz, typ := uint64(bo.Uint32(note)), uint64(bo.Uint32(note[4:])), bo.Uint32(note[8:])
+			desc := 12 + (nameSz+3)&^3
+			end := desc + (descSz+3)&^3
+			if end > uint64(len(note)) {
+				break
+			}
+			if typ == 4 && nameSz == 4 && string(note[12:15]) == "Go\x00" && descSz > 0 {
+				return note[desc : desc+descSz]
+			}
+			note = note[end:]
+		}
+	}
+	return nil
 }
 
 // DefaultCacheDir is where results land when no -cache-dir is given:
@@ -82,7 +158,11 @@ func Open(dir string) (*Cache, error) {
 		}
 		dir = d
 	}
-	c := &Cache{dir: dir, version: "v" + schemaVersion + "-" + CodeVersion()}
+	ver, err := codeVersion()
+	if err != nil {
+		return nil, err
+	}
+	c := &Cache{dir: dir, version: "v" + schemaVersion + "-" + ver}
 	if err := os.MkdirAll(filepath.Join(dir, c.version), 0o755); err != nil {
 		return nil, fmt.Errorf("lab: create cache dir: %w", err)
 	}

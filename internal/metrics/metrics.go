@@ -73,6 +73,10 @@ type Sampler struct {
 	lastBusy  []event.Time
 	lastDeep  []event.Time
 	profCores []profile.CorePower // reused per-sample buffer for the profiler
+	// corePow memoizes each core's last power-model term: the model is a
+	// pure function of (type, MHz, util, deep fraction), and idle samples
+	// repeat the same inputs.
+	corePow []corePower
 
 	// Matrix[b][l] counts samples with exactly b big and l little cores
 	// active (Table IV).
@@ -98,17 +102,28 @@ type Sampler struct {
 
 	sampleFn event.Handler // cached method value: evaluating m.onSample allocates
 	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
+	replayed int           // samples run inline by a dormant tick
 	// clusterActive is reused across samples, indexed by cluster ID.
 	clusterActive []bool
 }
 
+// corePower is one core's memoized power-model term (see Sampler.corePow).
+type corePower struct {
+	mhz        int
+	util, deep float64
+	mw         float64
+}
+
 // NewSampler creates a sampler over sys using power model pw.
 func NewSampler(sys *sched.System, pw power.Params) *Sampler {
+	n := len(sys.SoC.Cores)
+	last := make([]event.Time, 2*n)
 	m := &Sampler{
 		sys:      sys,
 		pw:       pw,
-		lastBusy: make([]event.Time, len(sys.SoC.Cores)),
-		lastDeep: make([]event.Time, len(sys.SoC.Cores)),
+		lastBusy: last[:n:n],
+		lastDeep: last[n:],
+		corePow:  make([]corePower, n),
 		Residency: map[platform.CoreType]map[int]event.Time{
 			platform.Little: {},
 			platform.Big:    {},
@@ -117,6 +132,7 @@ func NewSampler(sys *sched.System, pw power.Params) *Sampler {
 		clusterActive: make([]bool, len(sys.SoC.Clusters)),
 	}
 	m.sampleFn = m.onSample
+	sys.Periodic(&m.sampleEv, SampleInterval, m.sampleFn, m.replay)
 	return m
 }
 
@@ -126,6 +142,23 @@ func (m *Sampler) Start() {
 }
 
 func (m *Sampler) onSample(now event.Time) {
+	m.sample(now)
+	m.sampleEv = m.sys.Eng.After(SampleInterval, m.sampleFn)
+}
+
+// replay is a sample a dormant scheduler tick runs inline (see
+// sched.System.Periodic): the same observation at the same clock, counted.
+func (m *Sampler) replay(now event.Time) {
+	m.replayed++
+	m.sample(now)
+}
+
+// Replayed returns how many samples ran inline on a dormant tick instead
+// of through the event queue.
+func (m *Sampler) Replayed() int { return m.replayed }
+
+// sample takes one observation at now.
+func (m *Sampler) sample(now event.Time) {
 	m.sys.SyncAll(now)
 	prof := m.sys.Prof
 	soc := m.sys.SoC
@@ -153,7 +186,11 @@ func (m *Sampler) onSample(now event.Time) {
 		m.lastDeep[id] = deep
 
 		cl := soc.ClusterOf(id)
-		cmw := m.pw.CorePowerDeepMW(core.Type, cl.CurMHz, util, deepFrac)
+		cp := &m.corePow[id]
+		if cp.mhz != cl.CurMHz || cp.util != util || cp.deep != deepFrac {
+			*cp = corePower{cl.CurMHz, util, deepFrac, m.pw.CorePowerDeepMW(core.Type, cl.CurMHz, util, deepFrac)}
+		}
+		cmw := cp.mw
 		mw += cmw
 		if prof != nil {
 			m.profCores = append(m.profCores, profile.CorePower{Core: id, MW: cmw})
@@ -204,7 +241,6 @@ func (m *Sampler) onSample(now event.Time) {
 			Value: mw,
 		})
 	}
-	m.sampleEv = m.sys.Eng.After(SampleInterval, m.sampleFn)
 }
 
 func classify(t platform.CoreType, cl *platform.Cluster, util float64) EffState {

@@ -13,6 +13,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"biglittle/internal/event"
 	"biglittle/internal/pelt"
@@ -183,6 +184,7 @@ func (t *Task) Queued() int { return len(t.fifo) - t.fifoHead }
 type cpu struct {
 	id       int
 	typ      platform.CoreType
+	cl       *platform.Cluster // the core's cluster, whose clock it runs at
 	queue    []*Task
 	lastSync event.Time
 	busyCum  event.Time
@@ -221,9 +223,21 @@ type System struct {
 	tickEv event.Handle  // the pending tick (retained for snapshot capture)
 	// ticks counts load-tracking periods, elided idle ticks included; a
 	// task's tracker is decayed up to it lazily (Task.caughtUp).
-	ticks   uint64
-	elided  uint64 // ticks skipped while dormant (see onTick)
+	ticks    uint64
+	syncedAt event.Time // the last SyncAll (see syncedTo)
+	elided   uint64     // ticks skipped while dormant (see onTick)
+	inline   uint64     // ticks run inside the previous tick's handler
+	replayed uint64     // periodic firings run inline by a dormant tick
+	// awake counts the tasks not Sleeping, kept at every state transition,
+	// so the dormancy test reads one counter instead of every task.
+	awake   int
 	started bool
+	// periodics are the other subsystems' periodic events a dormant tick
+	// may run inline (see Periodic and sleep). It starts on periodicBuf,
+	// room for the sampler, the governor, the thermal model and the tick
+	// itself, so assembling a simulation allocates nothing for it.
+	periodics   []periodic
+	periodicBuf [4]periodic
 	// tickSubs run in attach order at the end of every tick (see OnTick).
 	tickSubs []func(now event.Time)
 
@@ -279,9 +293,10 @@ func New(eng *event.Engine, soc *platform.SoC, cfg Config) *System {
 		cfg.TickMs = 1
 	}
 	s := &System{Eng: eng, SoC: soc, Cfg: cfg, tick: event.Time(cfg.TickMs) * event.Millisecond}
+	s.periodics = s.periodicBuf[:0]
 	s.tickFn = s.onTick
 	for i := range soc.Cores {
-		c := &cpu{id: i, typ: soc.Cores[i].Type, emMHz: -1}
+		c := &cpu{id: i, typ: soc.Cores[i].Type, cl: soc.ClusterOf(i), emMHz: -1}
 		c.completeFn = func(at event.Time) { s.onCompletion(c, at) }
 		s.cpus = append(s.cpus, c)
 	}
@@ -321,6 +336,29 @@ func (s *System) OnTick(fn func(now event.Time)) {
 	s.tickSubs = append(s.tickSubs, fn)
 }
 
+// periodic is another subsystem's self-re-arming engine event, registered
+// with Periodic.
+type periodic struct {
+	ev      *event.Handle // the owner's handle to its pending firing
+	period  event.Time
+	handler event.Handler // the event's handler: one firing plus its re-arm
+	fire    event.Handler // one firing's work, without the re-arm
+	at      event.Time    // scratch key while a dormant tick merges firings
+	seq     uint64
+}
+
+// Periodic registers a subsystem's periodic event with the scheduler tick.
+// ev points at the owner's handle to the pending firing, which the owner
+// keeps current as handler re-arms it every period; fire does one firing's
+// work without re-arming. While the system is dormant, a tick runs these
+// firings inline at their eager times and in their eager order instead of
+// stopping its elision at each one (see sleep), and leaves the event
+// pending with the (at, seq) key the eager run would have given it. fire
+// must not schedule engine events or wake tasks.
+func (s *System) Periodic(ev *event.Handle, period event.Time, handler, fire event.Handler) {
+	s.periodics = append(s.periodics, periodic{ev: ev, period: period, handler: handler, fire: fire})
+}
+
 // Start begins the scheduler tick loop.
 func (s *System) Start() {
 	if s.started {
@@ -336,7 +374,7 @@ const TinyPerfScale = 0.65
 
 // rate returns a cpu's execution rate in cycles per nanosecond for a task.
 func (s *System) rate(c *cpu, t *Task) float64 {
-	f := float64(s.SoC.ClusterOf(c.id).CurMHz)
+	f := float64(c.cl.CurMHz)
 	sp := 1.0
 	switch c.typ {
 	case platform.Big:
@@ -378,7 +416,7 @@ func (s *System) sync(c *cpu, now event.Time) {
 	head.TotalWork += done
 	head.ranNs += dt
 	if s.EnergyModel != nil {
-		if mhz := s.SoC.ClusterOf(c.id).CurMHz; mhz != c.emMHz {
+		if mhz := c.cl.CurMHz; mhz != c.emMHz {
 			c.emMHz, c.emMW = mhz, s.EnergyModel(c.typ, mhz)
 		}
 		head.EnergyMJ += dt.Seconds() * c.emMW
@@ -393,7 +431,7 @@ func (s *System) sync(c *cpu, now event.Time) {
 	}
 	c.busyCum += dt
 	if s.Prof != nil {
-		s.Prof.OnRun(head.ID, head.Name, c.id, c.typ, s.SoC.ClusterOf(c.id).CurMHz, dt, now)
+		s.Prof.OnRun(head.ID, head.Name, c.id, c.typ, c.cl.CurMHz, dt, now)
 		// Queue membership is constant between syncs, so the same dt is
 		// exact runnable-wait time for everyone behind the head.
 		for _, w := range c.queue[1:] {
@@ -404,15 +442,38 @@ func (s *System) sync(c *cpu, now event.Time) {
 
 // SyncAll advances every cpu to now; callers observing busy time or task
 // progress (governor, metrics) should sync first.
+//
+// Without deep idle, syncing an idle core only moves its lastSync, and every
+// path that queues work on a core syncs it first; so idle cores are skipped
+// and syncedAt remembers the sync they missed (see syncedTo).
 func (s *System) SyncAll(now event.Time) {
+	s.syncedAt = now
+	all := s.Cfg.DeepIdleAfter > 0 || !s.Eng.Shortcuts()
 	for _, c := range s.cpus {
-		s.sync(c, now)
+		if len(c.queue) > 0 || all {
+			s.sync(c, now)
+		}
 	}
 }
 
+// syncedTo returns the time cpu c is accounted through, counting the
+// SyncAll calls that skipped it while idle: the lastSync an eager sync of
+// every core would have left.
+func (s *System) syncedTo(c *cpu) event.Time {
+	return max(c.lastSync, s.syncedAt)
+}
+
 // ElidedTicks returns how many scheduler ticks this System has skipped
-// while dormant instead of firing them (see onTick).
+// while dormant instead of firing them (see sleep).
 func (s *System) ElidedTicks() uint64 { return s.elided }
+
+// InlineTicks returns how many scheduler ticks ran inside the previous
+// tick's handler instead of through the event queue (see onTick).
+func (s *System) InlineTicks() uint64 { return s.inline }
+
+// ReplayedFirings returns how many Periodic firings dormant ticks ran
+// inline instead of through the event queue (see sleep).
+func (s *System) ReplayedFirings() uint64 { return s.replayed }
 
 // BusyNs returns cumulative busy time of core id (valid after SyncAll).
 func (s *System) BusyNs(id int) event.Time { return s.cpus[id].busyCum }
@@ -425,8 +486,10 @@ func (s *System) DeepIdleNs(id int) event.Time { return s.cpus[id].deepCum }
 func (s *System) QueueLen(id int) int { return len(s.cpus[id].queue) }
 
 // dispatch (re)programs the completion event for cpu c's head task. A
-// still-pending completion is moved in place (Handle.Reschedule), which
-// gives it the same ordering key as cancelling and re-adding it would.
+// still-pending completion is moved in place (Handle.Reschedule, which sifts
+// only the way the key moved) and gets the same ordering key as cancelling
+// and re-adding it would, even when its time is unchanged. An idle core
+// with no completion handle left has nothing to cancel.
 func (s *System) dispatch(c *cpu, now event.Time) {
 	if len(c.queue) > 0 {
 		head := c.queue[0]
@@ -444,8 +507,10 @@ func (s *System) dispatch(c *cpu, now event.Time) {
 			return
 		}
 	}
-	c.completion.Cancel()
-	c.completion = event.Handle{}
+	if c.completion != (event.Handle{}) {
+		c.completion.Cancel()
+		c.completion = event.Handle{}
+	}
 }
 
 // onCompletion handles the head task finishing its current segment.
@@ -483,6 +548,7 @@ func (s *System) onCompletion(c *cpu, now event.Time) {
 	c.queue = c.queue[:len(c.queue)-1]
 	c.sliceUsed = 0
 	head.state = Sleeping
+	s.awake--
 	head.cpu = -1
 	head.sleepLoad = 0.5*head.sleepLoad + 0.5*head.caughtUp().LoadF()
 	if head.OnSegment != nil {
@@ -510,6 +576,7 @@ func (s *System) Push(t *Task, cycles float64) {
 	}
 	t.remaining = cycles
 	t.wokeAt = now
+	s.awake++
 	if s.Prof != nil {
 		s.Prof.OnWake(t.ID, t.Name, now)
 	}
@@ -662,66 +729,163 @@ func (s *System) pickCPU(typ platform.CoreType, t *Task) *cpu {
 // onTick is the scheduler tick: accounting, load update, HMP migration,
 // intra-cluster balancing, and round-robin rotation.
 //
-// While the system is dormant (see dormant) the tick is tickless: an eager
-// tick there would only sync idle cores, decay sleeping loads (which
-// caughtUp defers anyway), and re-arm itself. So the ticks strictly before
-// the next pending event are elided — counted on the engine with Skip so
-// every later event keeps its eager (at, seq) key and Fired/Scheduled stay
-// exact — and the last one's SyncAll is done directly, which leaves
-// lastSync and the deep-idle sums as the eager run would. NextAt never
-// reaches past the running horizon, so a RunTo pause (and a snapshot there)
-// sees the same pending tick as an eager run.
+// Two shortcuts keep the tick off the event queue without changing a bit of
+// the run. When nothing else is due at or before the next tick time, the
+// next tick runs inline, in this same handler: Skip(1) accounts for the
+// elided re-arm and its firing and Advance moves the clock, so every later
+// event keeps its eager (at, seq) key and Fired/Scheduled stay exact. And
+// while the system is dormant the tick goes tickless (see sleep).
 func (s *System) onTick(now event.Time) {
-	s.SyncAll(now)
-	s.updateLoads(now)
-	if s.MigrateHook != nil {
-		s.MigrateHook(now)
-	} else {
-		s.hmpMigrate(now)
+	for {
+		s.SyncAll(now)
+		s.updateLoads(now)
+		if s.MigrateHook != nil {
+			s.MigrateHook(now)
+		} else {
+			s.hmpMigrate(now)
+		}
+		s.balance(now)
+		// Rotation and dispatch share one pass: dispatch emits nothing, so
+		// the telemetry and the completions' keys come out in the same order
+		// as two passes would give them.
+		for _, c := range s.cpus {
+			if len(c.queue) == 0 && c.sliceUsed == 0 && c.completion == (event.Handle{}) {
+				continue // idle with nothing to rotate or cancel
+			}
+			s.rotate(c, now)
+			s.dispatch(c, now)
+		}
+		for _, fn := range s.tickSubs {
+			fn(now)
+		}
+		next := now + s.tick
+		if s.dormant() && s.sleep(now) {
+			return
+		}
+		if s.Eng.NextAt() <= next {
+			s.tickEv = s.Eng.At(next, s.tickFn)
+			return
+		}
+		s.Eng.Skip(1)
+		s.Eng.Advance(next)
+		s.inline++
+		now = next
 	}
-	s.balance(now)
-	s.rotate(now)
-	for _, c := range s.cpus {
-		s.dispatch(c, now)
+}
+
+// sleep ends a dormant tick at now and reports whether it armed the next
+// tick. An eager tick while dormant would only sync idle cores, decay
+// sleeping loads (which caughtUp defers anyway), and re-arm itself, so the
+// ticks strictly before the next pending event are elided: counted on the
+// engine with Skip, with the last one's SyncAll done directly, which leaves
+// lastSync and the deep-idle sums as the eager run would.
+//
+// When the next pending event is a registered Periodic firing (the metrics
+// sampler's, a governor's, the thermal model's), elision runs past it: the
+// tick and every periodic event due before the next other event are lifted
+// off the queue and their firings strictly before that event are merged in
+// eager (at, seq) order: each tick skipped, each periodic firing run inline
+// with the clock advanced to its time and the frequency then in effect, and
+// each re-arm given the sequence number the eager run would give it. All
+// are then re-queued under their eager keys. NextAt never reaches past the
+// running horizon, so a RunTo pause (and a snapshot there) sees the eager
+// heap.
+func (s *System) sleep(now event.Time) bool {
+	eng := s.Eng
+	until := eng.NextAt()
+	if until <= now {
+		return false // another event is due at this very instant
 	}
-	for _, fn := range s.tickSubs {
-		fn(now)
+	for i := range s.periodics {
+		s.periodics[i].at, s.periodics[i].seq = never, never
 	}
-	next := now + s.tick
-	if s.dormant() {
-		if until := s.Eng.NextAt(); next < until {
-			k := (until - 1 - now) / s.tick // ticks in (now, until)
-			last := now + k*s.tick
-			s.Eng.Skip(uint64(k))
-			s.ticks += uint64(k)
-			s.elided += uint64(k)
-			s.SyncAll(last)
-			next = last + s.tick
+	if liftable(s.periodics, until) == nil {
+		next := now + s.tick
+		if next >= until {
+			return false
+		}
+		k := (until - 1 - now) / s.tick // ticks in (now, until)
+		last := now + k*s.tick
+		eng.Skip(uint64(k))
+		s.ticks += uint64(k)
+		s.elided += uint64(k)
+		s.SyncAll(last)
+		s.tickEv = eng.At(last+s.tick, s.tickFn)
+		return true
+	}
+	// The tick joins the merge as one more periodic with no work of its
+	// own; its first key is the one re-arming it now gives. Every periodic
+	// event due before the next other event is lifted off the queue with
+	// it; the rest stay queued and bound the merge like any other event.
+	s.tickEv = eng.At(now+s.tick, s.tickFn)
+	ps := append(s.periodics, periodic{ev: &s.tickEv, period: s.tick, handler: s.tickFn, at: never, seq: never})
+	for p := &ps[len(ps)-1]; p != nil; p = liftable(ps, eng.NextAt()) {
+		seq, _ := p.ev.EventSeq()
+		p.at, p.seq = p.ev.At(), seq
+		p.ev.Cancel()
+	}
+	horizon := eng.NextAt()
+	latest, synced := now, now
+	for {
+		p := &ps[0]
+		for i := 1; i < len(ps); i++ {
+			if q := &ps[i]; q.at < p.at || q.at == p.at && q.seq < p.seq {
+				p = q
+			}
+		}
+		if p.at >= horizon {
+			break
+		}
+		if p.fire == nil {
+			s.ticks++
+			s.elided++
+		} else {
+			if latest > synced {
+				s.SyncAll(latest) // the last skipped tick's sync
+			}
+			eng.Advance(p.at)
+			p.fire(p.at)
+			s.replayed++
+			synced = p.at
+		}
+		latest = p.at
+		p.seq = eng.Scheduled() // the re-arm's key; Skip counts firing and re-arm
+		eng.Skip(1)
+		p.at += p.period
+	}
+	if latest > synced {
+		s.SyncAll(latest)
+	}
+	for i := range ps {
+		if p := &ps[i]; p.seq != never {
+			*p.ev = eng.ScheduleAt(p.at, p.seq, p.handler)
 		}
 	}
-	s.tickEv = s.Eng.At(next, s.tickFn)
+	s.periodics = ps[:len(ps)-1]
+	return true
+}
+
+// never keys a periodic event that a merge left on the queue.
+const never = math.MaxInt64
+
+// liftable returns a periodic event of ps that a merge has not lifted yet
+// and that is pending at at, or nil.
+func liftable(ps []periodic, at event.Time) *periodic {
+	for i := range ps {
+		if p := &ps[i]; p.seq == never && p.ev.Pending() && p.ev.At() == at {
+			return p
+		}
+	}
+	return nil
 }
 
 // dormant reports whether the next ticks would change nothing but the clock
-// sync and the sleeping loads' decay: every run queue is empty, every task
-// is asleep, and nothing runs per tick — no MigrateHook policy (EAS, for
-// one, measures busy time since its previous tick) and no OnTick
+// sync and the sleeping loads' decay: every task is asleep (so every run
+// queue is empty), and nothing runs per tick — no MigrateHook policy (EAS,
+// for one, measures busy time since its previous tick) and no OnTick
 // subscriber.
 func (s *System) dormant() bool {
-	if s.MigrateHook != nil || len(s.tickSubs) > 0 {
-		return false
-	}
-	for _, c := range s.cpus {
-		if len(c.queue) > 0 {
-			return false
-		}
-	}
-	for _, t := range s.tasks {
-		if t.state != Sleeping {
-			return false
-		}
-	}
-	return true
+	return s.awake == 0 && s.MigrateHook == nil && len(s.tickSubs) == 0
 }
 
 // updateLoads feeds each task's tracker with its runnable fraction of the
@@ -777,12 +941,13 @@ func (s *System) hmpMigrate(now event.Time) {
 		}
 		c := s.cpus[t.cpu]
 		tier := c.typ.Tier()
+		load := t.Load()
 		switch {
-		case t.Load() > s.Cfg.UpThreshold && tier < 2:
+		case load > s.Cfg.UpThreshold && tier < 2:
 			if dst := s.pickCPU(platform.TypeForTier(tier+1), t); dst != nil {
 				s.migrate(t, dst, now, telemetry.ReasonUpThreshold)
 			}
-		case t.Load() < s.Cfg.DownThreshold && tier > 0:
+		case load < s.Cfg.DownThreshold && tier > 0:
 			if tier == 1 && t.sleepLoad >= float64(s.Cfg.TinyWakeLoad) {
 				continue // burst footprint too large for the tiny tier
 			}
@@ -885,28 +1050,26 @@ func (s *System) balance(now event.Time) {
 	}
 }
 
-// rotate implements round-robin: after a full tick of execution with other
-// tasks waiting, the head yields.
-func (s *System) rotate(now event.Time) {
-	for _, c := range s.cpus {
-		if len(c.queue) < 2 {
-			c.sliceUsed = 0
-			continue
-		}
-		c.sliceUsed++
-		if c.sliceUsed >= 1 { // 1-tick quantum
-			head := c.queue[0]
-			copy(c.queue, c.queue[1:])
-			c.queue[len(c.queue)-1] = head
-			c.sliceUsed = 0
-			if s.Tel != nil {
-				s.Tel.Emit(telemetry.Event{
-					At: now, Kind: telemetry.KindPreempt,
-					Task: head.ID, TaskName: head.Name,
-					Core: c.id, FromCore: -1, Cluster: s.SoC.Cores[c.id].Cluster,
-					Reason: telemetry.ReasonSlice,
-				})
-			}
+// rotate implements round-robin on cpu c: after a full tick of execution
+// with other tasks waiting, the head yields.
+func (s *System) rotate(c *cpu, now event.Time) {
+	if len(c.queue) < 2 {
+		c.sliceUsed = 0
+		return
+	}
+	c.sliceUsed++
+	if c.sliceUsed >= 1 { // 1-tick quantum
+		head := c.queue[0]
+		copy(c.queue, c.queue[1:])
+		c.queue[len(c.queue)-1] = head
+		c.sliceUsed = 0
+		if s.Tel != nil {
+			s.Tel.Emit(telemetry.Event{
+				At: now, Kind: telemetry.KindPreempt,
+				Task: head.ID, TaskName: head.Name,
+				Core: c.id, FromCore: -1, Cluster: s.SoC.Cores[c.id].Cluster,
+				Reason: telemetry.ReasonSlice,
+			})
 		}
 	}
 }
@@ -1031,8 +1194,8 @@ func (s *System) SetClusterFreq(clusterID, mhz int) int {
 // CoreBusyFraction returns core id's busy fraction between two cumulative
 // busy readings over the interval; a convenience for governors/metrics.
 func CoreBusyFraction(prevBusy, curBusy, interval event.Time) float64 {
-	if interval <= 0 {
-		return 0
+	if interval <= 0 || curBusy == prevBusy {
+		return 0 // an idle interval needs no division
 	}
 	f := float64(curBusy-prevBusy) / float64(interval)
 	if f < 0 {

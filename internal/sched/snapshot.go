@@ -132,7 +132,7 @@ func (s *System) Snapshot() Snap {
 	}
 	for _, c := range s.cpus {
 		cs := CPUSnap{
-			LastSync:  c.lastSync,
+			LastSync:  s.syncedTo(c),
 			BusyCum:   c.busyCum,
 			SliceUsed: c.sliceUsed,
 			IdleSince: c.idleSince,
@@ -160,9 +160,13 @@ func (s *System) Restore(sn *Snap) error {
 	if len(sn.CPUs) != len(s.cpus) {
 		return fmt.Errorf("sched: snapshot has %d cpus, system has %d", len(sn.CPUs), len(s.cpus))
 	}
+	s.awake = 0
 	for i, t := range s.tasks {
 		ts := &sn.Tasks[i]
 		t.state = ts.State
+		if t.state != Sleeping {
+			s.awake++
+		}
 		t.cpu = ts.CPU
 		t.pinned = ts.Pinned
 		t.lastCPU = ts.LastCPU
@@ -207,6 +211,7 @@ func (s *System) Restore(sn *Snap) error {
 			c.completion = s.Eng.ScheduleAt(cs.CompAt, cs.CompSeq, c.completeFn)
 		}
 	}
+	s.syncedAt = 0 // every LastSync was captured through syncedTo
 	s.started = sn.Started
 	if sn.TickPending {
 		s.tickEv = s.Eng.ScheduleAt(sn.TickAt, sn.TickSeq, s.tickFn)

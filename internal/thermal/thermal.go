@@ -103,6 +103,7 @@ func Attach(sys *sched.System, pw power.Params, par Params) *Model {
 	}
 	m.MaxTempC = par.AmbientC
 	m.sampleFn = m.onSample
+	sys.Periodic(&m.sampleEv, m.sample, m.sampleFn, m.step)
 	return m
 }
 
@@ -112,6 +113,13 @@ func (m *Model) Start() {
 }
 
 func (m *Model) onSample(now event.Time) {
+	m.step(now)
+	m.sampleEv = m.sys.Eng.After(m.sample, m.sampleFn)
+}
+
+// step is one thermal sample at now, without the re-arm; a dormant
+// scheduler tick also runs it inline (see sched.System.Periodic).
+func (m *Model) step(now event.Time) {
 	m.sys.SyncAll(now)
 	soc := m.sys.SoC
 	dt := m.sample.Seconds()
@@ -230,7 +238,6 @@ func (m *Model) onSample(now event.Time) {
 	if throttledNow {
 		m.ThrottledNs += m.sample
 	}
-	m.sampleEv = m.sys.Eng.After(m.sample, m.sampleFn)
 }
 
 // ThrottledPct returns the share of elapsed time with a throttle cap

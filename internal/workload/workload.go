@@ -316,6 +316,17 @@ func InteractionLoop(ctx *Ctx, cfg InteractionConfig) {
 	if boostLoad == 0 {
 		boostLoad = 800
 	}
+	// One boost handler serves every re-application of every interaction.
+	boost := func(event.Time) {
+		if ctx.Rec.replaying() {
+			// Boosts mutate live scheduler state; during replay the
+			// scheduler is restored from the snapshot instead.
+			return
+		}
+		for _, th := range cfg.Boost {
+			th.Task.Boost(boostLoad)
+		}
+	}
 	var next func(now event.Time)
 	next = func(now event.Time) {
 		if now >= ctx.Duration {
@@ -326,16 +337,7 @@ func InteractionLoop(ctx *Ctx, cfg InteractionConfig) {
 			window = 120 * event.Millisecond
 		}
 		for off := event.Time(0); off <= window; off += 25 * event.Millisecond {
-			ctx.At(now+off, func(event.Time) {
-				if ctx.Rec.replaying() {
-					// Boosts mutate live scheduler state; during replay the
-					// scheduler is restored from the snapshot instead.
-					return
-				}
-				for _, th := range cfg.Boost {
-					th.Task.Boost(boostLoad)
-				}
-			})
+			ctx.At(now+off, boost)
 		}
 		start := now
 		RunStages(ctx, cfg.Stages(), func(fin event.Time) {
@@ -372,7 +374,7 @@ func TouchKicks(ctx *Ctx, meanGap event.Time) {
 				if cl.Type == platform.Big {
 					floor = 1500 // the booster's big-cluster frequency floor
 				}
-				if cl.CurMHz < floor && len(soc.OnlineCores(cl.Type)) > 0 {
+				if cl.CurMHz < floor && soc.OnlineCount(cl.Type) > 0 {
 					ctx.Sys.SetClusterFreq(ci, floor)
 				}
 			}
