@@ -1,13 +1,15 @@
 // Command bllab inspects and maintains the experiment result cache that
 // blreport, blsweep, and bltlp populate, and watches the distributed lab.
+// Each of those commands keeps its results in a version directory keyed by
+// its own build; bllab works across all of them.
 //
 // Usage:
 //
 //	bllab [-cache-dir DIR] ls            # list cached results
-//	bllab [-cache-dir DIR] stat          # cache location, version, entry counts
-//	bllab [-cache-dir DIR] prune         # drop results from stale code versions
+//	bllab [-cache-dir DIR] stat          # cache location, version directories, entry counts
+//	bllab [-cache-dir DIR] prune         # drop version directories no current build reads
 //	bllab [-cache-dir DIR] invalidate [-app NAME] [-all]
-//	                                     # drop current-version results
+//	                                     # drop cached results, whichever command wrote them
 //	bllab fleet [-coordinator URL]       # fleet queue, leases, worker liveness
 package main
 
@@ -50,10 +52,10 @@ func main() {
 
 	sub := flag.NewFlagSet("bllab "+cmd, flag.ExitOnError)
 	app := sub.String("app", "", "restrict invalidate to one app's results")
-	all := sub.Bool("all", false, "invalidate every current-version result")
+	all := sub.Bool("all", false, "invalidate every result and warmed prefix")
 	sub.Parse(flag.Args()[1:])
 
-	cache, err := lab.Open(*cacheDir)
+	cache, err := lab.Inspect(*cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bllab:", err)
 		os.Exit(1)
@@ -61,7 +63,7 @@ func main() {
 	var log *slog.Logger
 	if *verbose {
 		log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
-		log.Debug("cache open", "dir", cache.Dir(), "version", cache.Version())
+		log.Debug("cache open", "dir", cache.Dir())
 	}
 	// logAffected lists the entries an operation is about to touch.
 	logAffected := func(op string, match func(lab.Entry) bool) {
@@ -101,36 +103,46 @@ func main() {
 		fmt.Printf("%d entries\n", len(entries))
 
 	case "stat":
-		entries, err := cache.List()
+		versions, err := cache.Versions()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bllab:", err)
 			os.Exit(1)
 		}
-		current, stale := 0, 0
+		current, stale, prefixes := 0, 0, 0
 		var bytes int64
-		for _, e := range entries {
-			if e.Version == cache.Version() {
-				current++
-			} else {
-				stale++
-			}
-			bytes += e.SizeB
-		}
 		fmt.Printf("cache dir:       %s\n", cache.Dir())
-		fmt.Printf("code version:    %s\n", lab.CodeVersion())
-		fmt.Printf("current entries: %d\n", current)
-		fmt.Printf("stale entries:   %d (from older code versions; `bllab prune` removes them)\n", stale)
-		fmt.Printf("total size:      %d bytes\n", bytes)
-		prefixes, prefixBytes, perr := cache.PrefixStats()
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "bllab:", perr)
-			os.Exit(1)
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(w, "VERSION\tCOMMAND\tCODE VERSION\tENTRIES\tPREFIXES\tSIZE\tLAST USED\tSTATE")
+		for _, v := range versions {
+			state := "current"
+			if v.Stale {
+				state = "stale"
+				stale += v.Entries
+			} else {
+				current += v.Entries
+			}
+			prefixes += v.Prefixes
+			bytes += v.Bytes
+			fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%d\t%d\t%s\t%s\n", v.Name, v.Command, v.CodeVersion,
+				v.Entries, v.Prefixes, v.Bytes, v.LastUsed.Format("2006-01-02 15:04:05"), state)
 		}
-		fmt.Printf("warmed prefixes: %d (%d bytes; fork sweeps resume from these instead of simulating the shared prefix)\n",
-			prefixes, prefixBytes)
+		w.Flush()
+		fmt.Printf("current entries: %d\n", current)
+		fmt.Printf("stale entries:   %d (from superseded builds; `bllab prune` removes them)\n", stale)
+		fmt.Printf("warmed prefixes: %d (fork sweeps resume from these instead of simulating the shared prefix)\n", prefixes)
+		fmt.Printf("total size:      %d bytes\n", bytes)
 
 	case "prune":
-		logAffected("pruning", func(e lab.Entry) bool { return e.Version != cache.Version() })
+		if log != nil {
+			versions, err := cache.Versions()
+			if err == nil {
+				stale := map[string]bool{}
+				for _, v := range versions {
+					stale[v.Name] = v.Stale
+				}
+				logAffected("pruning", func(e lab.Entry) bool { return stale[e.Version] })
+			}
+		}
 		n, err := cache.PruneStale()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bllab:", err)
@@ -143,9 +155,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bllab: invalidate needs -app NAME or -all")
 			os.Exit(2)
 		}
-		logAffected("invalidating", func(e lab.Entry) bool {
-			return e.Version == cache.Version() && (*app == "" || e.App == *app)
-		})
+		logAffected("invalidating", func(e lab.Entry) bool { return *app == "" || e.App == *app })
 		n, err := cache.Invalidate(*app)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bllab:", err)

@@ -11,9 +11,9 @@ import (
 // newEagerSim is the equivalence tests' one seam: it assembles cfg like
 // newSim, then turns off every engine shortcut before the first event
 // fires. No tick is elided or run inline, no periodic firing is replayed,
-// every SyncAll syncs idle cores too, and Reschedule sifts both ways, so the
-// run is the plain event-by-event reference the shortcuts must reproduce
-// bit for bit.
+// every SyncAll syncs idle cores too, every tick decays every sleeping
+// task's load, and Reschedule sifts both ways, so the run is the plain
+// event-by-event reference the shortcuts must reproduce bit for bit.
 func newEagerSim(cfg Config, rec *workload.Recorder) *Sim {
 	sim := newSim(cfg, rec)
 	sim.eng.Eager()

@@ -229,7 +229,8 @@ func (e *Engine) Stop() {
 // Eager turns off every shortcut the engine offers its handlers: NextAt
 // reports Now, so no periodic handler elides, batches or replays a firing,
 // Reschedule sifts both ways, and Shortcuts reports false to the handlers'
-// own. The run it leaves is the plain event-by-event reference the
+// own (the scheduler then syncs idle cores and decays sleeping loads every
+// tick). The run it leaves is the plain event-by-event reference the
 // equivalence tests compare the shortcuts against; nothing else sets it.
 func (e *Engine) Eager() { e.eager = true }
 

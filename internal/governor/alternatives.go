@@ -24,7 +24,7 @@ type loadSampler struct {
 	sys      *sched.System
 	name     string
 	sample   event.Time
-	sampleFn event.Handler // cached method value: evaluating g.onSample allocates
+	sampleFn event.Handler // the re-arming handler Periodic built, kept for Start and Restore
 	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
 	lastBusy []event.Time
 	target   func(cl *platform.Cluster, curMHz int, util float64) int
@@ -42,18 +42,12 @@ func newLoadSampler(sys *sched.System, name string, sampleMs int,
 		lastBusy: make([]event.Time, len(sys.SoC.Cores)),
 		target:   target,
 	}
-	g.sampleFn = g.onSample
-	sys.Periodic(&g.sampleEv, g.sample, g.sampleFn, g.step)
+	g.sampleFn = sys.Periodic(&g.sampleEv, g.sample, g.step)
 	return g
 }
 
 // Start schedules the periodic sampling.
 func (g *loadSampler) Start() {
-	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
-}
-
-func (g *loadSampler) onSample(now event.Time) {
-	g.step(now)
 	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 

@@ -66,7 +66,7 @@ type Interactive struct {
 
 	sys      *sched.System
 	sample   event.Time
-	sampleFn event.Handler // cached method value: evaluating g.onSample allocates
+	sampleFn event.Handler // the re-arming handler Periodic built, kept for Start and Restore
 	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
 	lastBusy []event.Time
 	// Per-cluster hold state for the delay tunables.
@@ -104,8 +104,7 @@ func NewInteractive(sys *sched.System, cfg InteractiveConfig) *Interactive {
 	for i := range g.hispeedSince {
 		g.hispeedSince[i] = -1
 	}
-	g.sampleFn = g.onSample
-	sys.Periodic(&g.sampleEv, g.sample, g.sampleFn, g.step)
+	g.sampleFn = sys.Periodic(&g.sampleEv, g.sample, g.step)
 	return g
 }
 
@@ -126,11 +125,6 @@ func (g *Interactive) hispeed(t platform.CoreType) int {
 	default:
 		return g.Cfg.HispeedLittleMHz
 	}
-}
-
-func (g *Interactive) onSample(now event.Time) {
-	g.step(now)
-	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 
 // step is one sampling period of Algorithm 2 at now, without the re-arm; a

@@ -2,7 +2,7 @@ package lab
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
+	"debug/elf"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,23 +27,28 @@ const schemaVersion = "1"
 // toolchain derives from every input of the build, so a binary built from
 // different code — one changed line of scheduler logic, a dirty tree, an
 // unstamped `go run` — keys its results apart, and the cache never serves a
-// number another build computed. An executable without a readable build ID
-// is hashed whole instead. It is computed once per process, on first use
-// (opening a disk cache or its prefix tier), and is "unknown" when the
-// executable cannot be read; Open refuses to cache in that case.
+// number another build computed. Each command is a build of its own, so
+// each keeps its results in a version directory of its own (see Cache). An
+// executable without a readable build ID is hashed whole instead. It is
+// computed once per process, on first use (opening a disk cache or its
+// prefix tier), and is "unknown" when the executable cannot be read; Open
+// refuses to cache in that case.
 func CodeVersion() string {
-	v, err := codeVersion()
+	b, err := runningBuild()
 	if err != nil {
 		return "unknown"
 	}
-	return v
+	return b.version
 }
 
-// codeVersion hashes the running executable's identity once per process.
-var codeVersion = sync.OnceValues(func() (string, error) {
+// build names the running executable and its code version.
+type build struct{ command, version string }
+
+// runningBuild identifies the running executable once per process.
+var runningBuild = sync.OnceValues(func() (build, error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return "", fmt.Errorf("lab: locate the running executable: %w", err)
+		return build{}, fmt.Errorf("lab: locate the running executable: %w", err)
 	}
 	h := sha256.New()
 	if id := goBuildID(exe); id != nil {
@@ -50,75 +56,40 @@ var codeVersion = sync.OnceValues(func() (string, error) {
 	} else {
 		f, err := os.Open(exe)
 		if err != nil {
-			return "", fmt.Errorf("lab: read the running executable: %w", err)
+			return build{}, fmt.Errorf("lab: read the running executable: %w", err)
 		}
 		defer f.Close()
 		if _, err := io.Copy(h, f); err != nil {
-			return "", fmt.Errorf("lab: hash the running executable: %w", err)
+			return build{}, fmt.Errorf("lab: hash the running executable: %w", err)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16], nil
+	return build{
+		command: strings.TrimSuffix(filepath.Base(exe), ".exe"),
+		version: hex.EncodeToString(h.Sum(nil))[:16],
+	}, nil
 })
 
 // goBuildID returns the Go build ID note of the ELF executable at path, or
 // nil when it has none (another object format, or a build that blanked it).
-// The linker places the note in the first page, so reading it costs one
-// small read instead of the whole binary, and no object-file package.
+// debug/elf reads only the headers and the note, not the whole binary.
 func goBuildID(path string) []byte {
-	f, err := os.Open(path)
+	f, err := elf.Open(path)
 	if err != nil {
 		return nil
 	}
 	defer f.Close()
-	buf := make([]byte, 32<<10)
-	n, _ := io.ReadFull(f, buf)
-	buf = buf[:n]
-	if len(buf) < 64 || string(buf[:4]) != "\x7fELF" {
+	sec := f.Section(".note.go.buildid")
+	if sec == nil {
 		return nil
 	}
-	var bo binary.ByteOrder = binary.LittleEndian
-	if buf[5] == 2 {
-		bo = binary.BigEndian
+	note, err := sec.Data()
+	if err != nil || len(note) < 16 {
+		return nil
 	}
-	// Program headers: where they are, how big, how many; 64- or 32-bit.
-	var phoff, phentsize, phnum uint64
-	is64 := buf[4] == 2
-	if is64 {
-		phoff, phentsize, phnum = bo.Uint64(buf[32:]), uint64(bo.Uint16(buf[54:])), uint64(bo.Uint16(buf[56:]))
-	} else {
-		phoff, phentsize, phnum = uint64(bo.Uint32(buf[28:])), uint64(bo.Uint16(buf[42:])), uint64(bo.Uint16(buf[44:]))
-	}
-	for i := uint64(0); i < phnum; i++ {
-		ph := phoff + i*phentsize
-		if ph+phentsize > uint64(len(buf)) || phentsize < 32 {
-			return nil
-		}
-		if bo.Uint32(buf[ph:]) != 4 { // PT_NOTE
-			continue
-		}
-		var off, size uint64
-		if is64 {
-			off, size = bo.Uint64(buf[ph+8:]), bo.Uint64(buf[ph+32:])
-		} else {
-			off, size = uint64(bo.Uint32(buf[ph+4:])), uint64(bo.Uint32(buf[ph+16:]))
-		}
-		if off+size > uint64(len(buf)) {
-			continue
-		}
-		// Notes: name size, descriptor size, type, padded name, padded
-		// descriptor. Go's build ID is name "Go", type 4.
-		for note := buf[off : off+size]; len(note) >= 12; {
-			nameSz, descSz, typ := uint64(bo.Uint32(note)), uint64(bo.Uint32(note[4:])), bo.Uint32(note[8:])
-			desc := 12 + (nameSz+3)&^3
-			end := desc + (descSz+3)&^3
-			if end > uint64(len(note)) {
-				break
-			}
-			if typ == 4 && nameSz == 4 && string(note[12:15]) == "Go\x00" && descSz > 0 {
-				return note[desc : desc+descSz]
-			}
-			note = note[end:]
-		}
+	// A 16-byte header (name size, descriptor size, type, "Go\x00\x00"),
+	// then the ID.
+	if n := int(f.ByteOrder.Uint32(note[4:])); n > 0 && 16+n <= len(note) {
+		return note[16 : 16+n]
 	}
 	return nil
 }
@@ -134,9 +105,14 @@ func DefaultCacheDir() (string, error) {
 }
 
 // Cache is a content-addressed store of simulation results: one JSON blob
-// per (fingerprint, code version), laid out as
+// per (fingerprint, command build), laid out as
 //
-//	<dir>/v<schema>-<code version>/<fp[:2]>/<fp>.json
+//	<dir>/v<schema>-<command>-<code version>/<fp[:2]>/<fp>.json
+//
+// so every command (blreport, blsweep, ...) keeps its results under its own
+// build's version directory. Opening a cache marks its directory as used;
+// the maintenance methods (List, Versions, PruneStale, Invalidate) span every
+// version directory, whichever command wrote it.
 //
 // Reads verify the stored fingerprint and silently treat any corrupt,
 // truncated, or mismatched blob as a miss (deleting it), so a damaged cache
@@ -145,34 +121,57 @@ func DefaultCacheDir() (string, error) {
 // fingerprint are safe (they produce identical content).
 type Cache struct {
 	dir     string // root directory
-	version string // v<schema>-<code version>
+	version string // v<schema>-<command>-<code version>; "" from Inspect
 }
 
-// Open returns a cache rooted at dir (""= DefaultCacheDir), creating the
-// current version directory.
+// Open returns a cache rooted at dir (""= DefaultCacheDir) that reads and
+// writes the running command's version directory, creating it and marking
+// it as the command's most recently used one.
 func Open(dir string) (*Cache, error) {
-	if dir == "" {
-		d, err := DefaultCacheDir()
-		if err != nil {
-			return nil, err
-		}
-		dir = d
-	}
-	ver, err := codeVersion()
+	dir, err := resolveDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cache{dir: dir, version: "v" + schemaVersion + "-" + ver}
-	if err := os.MkdirAll(filepath.Join(dir, c.version), 0o755); err != nil {
+	b, err := runningBuild()
+	if err != nil {
+		return nil, err
+	}
+	c := &Cache{dir: dir, version: "v" + schemaVersion + "-" + b.command + "-" + b.version}
+	root := filepath.Join(dir, c.version)
+	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("lab: create cache dir: %w", err)
 	}
+	now := time.Now()
+	if err := os.Chtimes(root, now, now); err != nil {
+		return nil, fmt.Errorf("lab: mark cache dir used: %w", err)
+	}
 	return c, nil
+}
+
+// Inspect returns the cache rooted at dir (""= DefaultCacheDir) for
+// maintenance only: it has no version directory of its own, so Get and
+// GetPrefix miss and Put and PutPrefix store nothing, while List,
+// Versions, PruneStale and Invalidate work on every command's entries.
+func Inspect(dir string) (*Cache, error) {
+	dir, err := resolveDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Cache{dir: dir}, nil
+}
+
+func resolveDir(dir string) (string, error) {
+	if dir != "" {
+		return dir, nil
+	}
+	return DefaultCacheDir()
 }
 
 // Dir returns the cache root.
 func (c *Cache) Dir() string { return c.dir }
 
-// Version returns the current version-directory name.
+// Version returns the name of the version directory the cache reads and
+// writes ("" from Inspect).
 func (c *Cache) Version() string { return c.version }
 
 // blob is the on-disk envelope around one cached result.
@@ -191,7 +190,7 @@ func (c *Cache) path(fp string) string {
 // Get loads the result stored for fp, reporting whether a valid entry was
 // found. Invalid entries are removed so the follow-up Put replaces them.
 func (c *Cache) Get(fp string) (core.Result, bool) {
-	if c == nil {
+	if c == nil || c.version == "" {
 		return core.Result{}, false
 	}
 	p := c.path(fp)
@@ -211,7 +210,7 @@ func (c *Cache) Get(fp string) (core.Result, bool) {
 // say) is not an error worth failing the experiment over; the caller treats
 // a Put failure as "this run stays uncached".
 func (c *Cache) Put(fp, app, salt string, res core.Result) error {
-	if c == nil {
+	if c == nil || c.version == "" {
 		return nil
 	}
 	data, err := json.Marshal(blob{
@@ -248,7 +247,7 @@ func (c *Cache) Put(fp, app, salt string, res core.Result) error {
 // <dir>/<version>/prefix/<key[:2]>/<key>.blsnap. The tier shares the
 // version directory with results — a schema or code change invalidates
 // warmed prefixes exactly like memoized results — but uses its own
-// extension so List and countEntries see only results.
+// extension so List and the Versions entry counts see only results.
 func (c *Cache) prefixPath(key string) string {
 	return filepath.Join(c.dir, c.version, "prefix", key[:2], key+".blsnap")
 }
@@ -258,7 +257,7 @@ func (c *Cache) prefixPath(key string) string {
 // the codec checksums and version-checks it — and corrupt or stale entries
 // are removed so the follow-up PutPrefix replaces them.
 func (c *Cache) GetPrefix(key string) ([]byte, bool) {
-	if c == nil {
+	if c == nil || c.version == "" {
 		return nil, false
 	}
 	p := c.prefixPath(key)
@@ -276,7 +275,7 @@ func (c *Cache) GetPrefix(key string) ([]byte, bool) {
 // PutPrefix stores an encoded prefix snapshot under key, with the same
 // temp-file-plus-rename discipline as Put.
 func (c *Cache) PutPrefix(key string, blob []byte) error {
-	if c == nil {
+	if c == nil || c.version == "" {
 		return nil
 	}
 	p := c.prefixPath(key)
@@ -299,29 +298,6 @@ func (c *Cache) PutPrefix(key string, blob []byte) error {
 	return os.Rename(tmp.Name(), p)
 }
 
-// PrefixStats reports the disk prefix tier's footprint under the current
-// version directory — how many warmed prefix snapshots are persisted and
-// their total bytes (what `bllab stat` prints). Results and prefixes share
-// the version directory, so PruneStale drops stale prefixes along with
-// stale results.
-func (c *Cache) PrefixStats() (entries int, bytes int64, err error) {
-	root := filepath.Join(c.dir, c.version, "prefix")
-	werr := filepath.Walk(root, func(p string, info os.FileInfo, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return err
-		}
-		if !info.IsDir() && filepath.Ext(p) == ".blsnap" {
-			entries++
-			bytes += info.Size()
-		}
-		return nil
-	})
-	return entries, bytes, werr
-}
-
 // Entry describes one cached result for inspection (bllab ls).
 type Entry struct {
 	Version     string
@@ -330,6 +306,7 @@ type Entry struct {
 	Salt        string
 	SizeB       int64
 	SavedAt     time.Time
+	path        string
 }
 
 // List returns every entry across all version directories, current or
@@ -346,7 +323,7 @@ func (c *Cache) List() ([]Entry, error) {
 			if err != nil || info.IsDir() || filepath.Ext(p) != ".json" {
 				return err
 			}
-			e := Entry{Version: ver, SizeB: info.Size(), SavedAt: info.ModTime()}
+			e := Entry{Version: ver, SizeB: info.Size(), SavedAt: info.ModTime(), path: p}
 			if data, rerr := os.ReadFile(p); rerr == nil {
 				var b blob
 				if json.Unmarshal(data, &b) == nil {
@@ -378,43 +355,86 @@ func (c *Cache) List() ([]Entry, error) {
 	return out, nil
 }
 
-// PruneStale removes every version directory except the current one and
-// returns how many entries were deleted — the cleanup after a code change.
-func (c *Cache) PruneStale() (int, error) {
-	versions, err := c.versionDirs()
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, ver := range versions {
-		if ver == c.version {
-			continue
-		}
-		n, err := countEntries(filepath.Join(c.dir, ver))
-		if err != nil {
-			return removed, err
-		}
-		if err := os.RemoveAll(filepath.Join(c.dir, ver)); err != nil {
-			return removed, err
-		}
-		removed += n
-	}
-	return removed, nil
+// VersionDir describes one version directory: whose results it holds,
+// how many, and whether PruneStale would remove it.
+type VersionDir struct {
+	Name        string    // v<schema>-<command>-<code version>
+	Command     string    // the command that writes it; "" for another schema or layout
+	CodeVersion string    // that command's build
+	LastUsed    time.Time // when a command last opened it
+	Entries     int       // cached results
+	Prefixes    int       // warmed prefix snapshots
+	Bytes       int64     // results and prefixes
+	// Stale marks a directory no current build reads: one from another
+	// schema or layout, or one whose command has since opened a newer
+	// directory — a rebuilt binary's, after a code change.
+	Stale bool
 }
 
-// Invalidate removes current-version entries — all of them, or only those
-// belonging to the named app — and returns how many were deleted.
+// Versions describes every version directory, sorted by name.
+func (c *Cache) Versions() ([]VersionDir, error) {
+	names, err := c.versionDirs()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]VersionDir, 0, len(names))
+	newest := map[string]time.Time{}
+	for _, name := range names {
+		v := VersionDir{Name: name}
+		root := filepath.Join(c.dir, name)
+		info, err := os.Stat(root)
+		if err != nil {
+			return nil, err
+		}
+		v.LastUsed = info.ModTime()
+		if rest, ok := strings.CutPrefix(name, "v"+schemaVersion+"-"); ok {
+			if i := strings.LastIndexByte(rest, '-'); i > 0 {
+				v.Command, v.CodeVersion = rest[:i], rest[i+1:]
+			}
+		}
+		if v.Command != "" && v.LastUsed.After(newest[v.Command]) {
+			newest[v.Command] = v.LastUsed
+		}
+		err = filepath.Walk(root, func(p string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() {
+				return err
+			}
+			switch filepath.Ext(p) {
+			case ".json":
+				v.Entries++
+			case ".blsnap":
+				v.Prefixes++
+			default:
+				return nil
+			}
+			v.Bytes += info.Size()
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	for i := range out {
+		v := &out[i]
+		v.Stale = v.Command == "" || v.LastUsed.Before(newest[v.Command])
+	}
+	return out, nil
+}
+
+// PruneStale removes every stale version directory (see VersionDir.Stale)
+// and returns how many results went with them — the cleanup after a code
+// change.
+func (c *Cache) PruneStale() (int, error) {
+	return c.remove(func(v VersionDir) bool { return v.Stale })
+}
+
+// Invalidate removes cached results from every version directory, whichever
+// command wrote them — all of them along with the warmed prefixes, or only
+// the named app's results — and returns how many results were deleted.
 func (c *Cache) Invalidate(app string) (int, error) {
 	if app == "" {
-		root := filepath.Join(c.dir, c.version)
-		n, err := countEntries(root)
-		if err != nil {
-			return 0, err
-		}
-		if err := os.RemoveAll(root); err != nil {
-			return 0, err
-		}
-		return n, os.MkdirAll(root, 0o755)
+		return c.remove(func(VersionDir) bool { return true })
 	}
 	entries, err := c.List()
 	if err != nil {
@@ -422,12 +442,29 @@ func (c *Cache) Invalidate(app string) (int, error) {
 	}
 	removed := 0
 	for _, e := range entries {
-		if e.Version != c.version || e.App != app {
-			continue
-		}
-		if err := os.Remove(c.path(e.Fingerprint)); err == nil {
+		if e.App == app && os.Remove(e.path) == nil {
 			removed++
 		}
+	}
+	return removed, nil
+}
+
+// remove deletes the version directories match selects and returns how
+// many results they held.
+func (c *Cache) remove(match func(VersionDir) bool) (int, error) {
+	vs, err := c.Versions()
+	if err != nil {
+		return 0, err
+	}
+	removed := 0
+	for _, v := range vs {
+		if !match(v) {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(c.dir, v.Name)); err != nil {
+			return removed, err
+		}
+		removed += v.Entries
 	}
 	return removed, nil
 }
@@ -448,21 +485,4 @@ func (c *Cache) versionDirs() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func countEntries(root string) (int, error) {
-	n := 0
-	err := filepath.Walk(root, func(p string, info os.FileInfo, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return err
-		}
-		if !info.IsDir() && filepath.Ext(p) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n, err
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // completionLine is the line of scheduler logic the regression edits: the
@@ -62,38 +63,58 @@ func createTestModuleInTempDir(t *testing.T, edit func(rel string, src []byte) [
 	return dst
 }
 
-// cacheVersion builds bllab from the module at dir and returns the code
-// version it reports against the cache at cacheDir.
-func cacheVersion(t *testing.T, goTool, dir, cacheDir string) string {
+// buildCmd builds the named command from the module at dir into dir/bin
+// and returns the binary's path.
+func buildCmd(t *testing.T, goTool, dir, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, "bllab")
-	build := exec.Command(goTool, "build", "-trimpath", "-buildvcs=false", "-o", bin, "./cmd/bllab")
+	bin := filepath.Join(dir, "bin", name)
+	build := exec.Command(goTool, "build", "-trimpath", "-buildvcs=false", "-o", bin, "./cmd/"+name)
 	build.Dir = dir
 	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+		t.Fatalf("go build %s: %v\n%s", name, err, out)
 	}
-	out, err := exec.Command(bin, "-cache-dir", cacheDir, "stat").Output()
-	if err != nil {
-		t.Fatalf("bllab stat: %v", err)
-	}
-	for _, line := range strings.Split(string(out), "\n") {
-		if v, ok := strings.CutPrefix(line, "code version:"); ok {
-			return strings.TrimSpace(v)
-		}
-	}
-	t.Fatalf("bllab stat printed no code version:\n%s", out)
-	return ""
+	return bin
 }
 
-// TestCodeVersionTracksCode builds bllab from a copy of this module three
+// runCmd runs bin with args and returns its stdout and stderr.
+func runCmd(t *testing.T, bin string, args ...string) (string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, stderr.String())
+	}
+	return stdout.String(), stderr.String()
+}
+
+// versionDirs lists the version directories under cacheDir.
+func versionDirs(t *testing.T, cacheDir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, de := range des {
+		out = append(out, de.Name())
+	}
+	return out
+}
+
+// TestCodeVersionTracksCode builds blsweep from a copy of this module three
 // times: as is, after changing a single line of scheduler logic, and after
-// reverting the change. The edited build must get its own code version, so
-// its results land in a different version directory of the same cache, and
-// the reverted build must get the original one back: the version tracks the
-// code, not the build.
+// reverting the change, and runs one bbench point of a sweep with each
+// against one cache. The edited build must keep its result in a version
+// directory of its own, and the reverted build must find the first build's
+// result again: the version tracks the code, not the build. bllab, a
+// different build from the same tree, then sees every command's
+// directories: stat names the superseded one stale, prune removes it, and
+// invalidate -app empties the cache blsweep filled, so the next sweep
+// simulates again.
 func TestCodeVersionTracksCode(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds three binaries")
+		t.Skip("builds blsweep and bllab from a module copy")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -116,27 +137,68 @@ func TestCodeVersionTracksCode(t *testing.T) {
 		}
 	}
 	cacheDir := t.TempDir()
-	base := cacheVersion(t, goTool, mod, cacheDir)
+	sweep := func() (csv, stats string) {
+		bin := buildCmd(t, goTool, mod, "blsweep")
+		return runCmd(t, bin, "-cache-dir", cacheDir, "-app", "bbench",
+			"-param", "sample-ms", "-values", "20", "-duration", "1s", "-workers", "1")
+	}
+	const simulated = "0 cache hits (0 in-process), 1 misses, 1 simulated"
+	const hit = "1 cache hits (0 in-process), 0 misses, 0 simulated"
+
+	baseCSV, stats := sweep()
+	if !strings.Contains(stats, simulated) {
+		t.Fatalf("first sweep into an empty cache: %s", stats)
+	}
+	base := versionDirs(t, cacheDir)
+	if len(base) != 1 || !strings.HasPrefix(base[0], "v"+schemaVersion+"-blsweep-") {
+		t.Fatalf("version dirs %v, want one v%s-blsweep-<code version>", base, schemaVersion)
+	}
+	time.Sleep(10 * time.Millisecond) // distinct last-used times, however coarse the clock
+
 	write(bytes.Replace(orig, []byte(completionLine), []byte(strings.Replace(completionLine, "+ 1\n", "+ 200000\n", 1)), 1))
-	changed := cacheVersion(t, goTool, mod, cacheDir)
+	changedCSV, stats := sweep()
+	if !strings.Contains(stats, simulated) {
+		t.Fatalf("a one-line change to dispatch reused the cached result: %s", stats)
+	}
+	if changedCSV == baseCSV {
+		t.Fatalf("the edited dispatch left the sweep unchanged:\n%s", baseCSV)
+	}
+	both := versionDirs(t, cacheDir)
+	if len(both) != 2 {
+		t.Fatalf("version dirs %v, want the first build's and the edited build's", both)
+	}
+	time.Sleep(10 * time.Millisecond)
+
 	write(orig)
-	reverted := cacheVersion(t, goTool, mod, cacheDir)
-	if base == changed {
-		t.Fatalf("a one-line change to dispatch kept code version %s", base)
+	revertedCSV, stats := sweep()
+	if !strings.Contains(stats, hit) || revertedCSV != baseCSV {
+		t.Fatalf("rebuilding the unchanged code did not reuse the first build's result: %s", stats)
 	}
-	if reverted != base {
-		t.Fatalf("rebuilding the unchanged code gave code version %s, first build %s", reverted, base)
+	if got := versionDirs(t, cacheDir); len(got) != 2 {
+		t.Fatalf("version dirs %v after rebuilding the unchanged code, want %v", got, both)
 	}
-	entries, err := os.ReadDir(cacheDir)
-	if err != nil {
-		t.Fatal(err)
+
+	bllab := buildCmd(t, goTool, mod, "bllab")
+	out, _ := runCmd(t, bllab, "-cache-dir", cacheDir, "stat")
+	for _, want := range []string{base[0], "current entries: 1\n", "stale entries:   1 "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("bllab stat does not show %q:\n%s", want, out)
+		}
 	}
-	got := map[string]bool{}
-	for _, e := range entries {
-		got[e.Name()] = true
+	if out, _ := runCmd(t, bllab, "-cache-dir", cacheDir, "prune"); out != "pruned 1 stale entries\n" {
+		t.Fatalf("bllab prune: %q", out)
 	}
-	if len(got) != 2 || !got["v"+schemaVersion+"-"+base] || !got["v"+schemaVersion+"-"+changed] {
-		t.Fatalf("cache version dirs %v, want v%s-%s and v%s-%s", got, schemaVersion, base, schemaVersion, changed)
+	if got := versionDirs(t, cacheDir); len(got) != 1 || got[0] != base[0] {
+		t.Fatalf("version dirs %v after prune, want %v", got, base)
+	}
+	if out, _ := runCmd(t, bllab, "-cache-dir", cacheDir, "invalidate", "-app", "bbench"); out != "invalidated 1 entries\n" {
+		t.Fatalf("bllab invalidate -app bbench: %q", out)
+	}
+	if out, _ := runCmd(t, bllab, "-cache-dir", cacheDir, "ls"); !strings.HasSuffix(out, "0 entries\n") {
+		t.Fatalf("bllab ls after invalidate:\n%s", out)
+	}
+	if _, stats := sweep(); !strings.Contains(stats, simulated) {
+		t.Fatalf("sweep after bllab invalidate -app bbench: %s", stats)
 	}
 }
 

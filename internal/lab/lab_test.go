@@ -170,6 +170,74 @@ func TestPruneStale(t *testing.T) {
 	}
 }
 
+// TestMaintenanceSpansCommands pins that the maintenance view works across
+// every command's version directories: Inspect creates none of its own and
+// stores nothing, PruneStale keeps each command's most recently opened
+// directory (and every other command's), and Invalidate removes an app's
+// results whichever command wrote them.
+func TestMaintenanceSpansCommands(t *testing.T) {
+	dir := t.TempDir()
+	put := func(version, fp, app string, used time.Time) {
+		t.Helper()
+		c := &Cache{dir: dir, version: version}
+		if err := c.Put(fp, app, "", core.Result{App: app}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(filepath.Join(dir, version), used, used); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := time.Now()
+	put("v1-blreport-aaaa", "aa01", "bbench", now.Add(-2*time.Hour))
+	put("v1-blreport-bbbb", "bb01", "bbench", now.Add(-time.Hour))
+	put("v1-blsweep-cccc", "cc01", "bbench", now.Add(-3*time.Hour))
+	put("v1-blsweep-cccc", "cc02", "browser", now.Add(-3*time.Hour))
+	put("v1-dev", "dd01", "bbench", now)
+
+	view, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Put("ee01", "bbench", "", core.Result{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := view.Get("aa01"); ok {
+		t.Fatal("a maintenance view must not serve results")
+	}
+	versions, err := view.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale []string
+	for _, v := range versions {
+		if v.Stale {
+			stale = append(stale, v.Name)
+		}
+	}
+	if len(versions) != 4 || !reflect.DeepEqual(stale, []string{"v1-blreport-aaaa", "v1-dev"}) {
+		t.Fatalf("versions %+v: stale %v, want v1-blreport-aaaa and v1-dev of 4", versions, stale)
+	}
+	if n, err := view.PruneStale(); err != nil || n != 2 {
+		t.Fatalf("PruneStale = %d, %v; want 2, nil", n, err)
+	}
+	if n, err := view.Invalidate("bbench"); err != nil || n != 2 {
+		t.Fatalf("Invalidate(bbench) = %d, %v; want 2, nil", n, err)
+	}
+	entries, err := view.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].App != "browser" || entries[0].Version != "v1-blsweep-cccc" {
+		t.Fatalf("entries after prune and invalidate: %+v, want blsweep's browser result", entries)
+	}
+	if n, err := view.Invalidate(""); err != nil || n != 1 {
+		t.Fatalf("Invalidate(all) = %d, %v; want 1, nil", n, err)
+	}
+	if des, _ := os.ReadDir(dir); len(des) != 0 {
+		t.Fatalf("%d version dirs left after invalidating everything", len(des))
+	}
+}
+
 func TestWarmRunSkipsSimulation(t *testing.T) {
 	cache, err := Open(t.TempDir())
 	if err != nil {

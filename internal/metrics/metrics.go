@@ -100,9 +100,8 @@ type Sampler struct {
 
 	meter power.Meter
 
-	sampleFn event.Handler // cached method value: evaluating m.onSample allocates
+	sampleFn event.Handler // the re-arming handler Periodic built, kept for Start and Restore
 	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
-	replayed int           // samples run inline by a dormant tick
 	// clusterActive is reused across samples, indexed by cluster ID.
 	clusterActive []bool
 }
@@ -131,8 +130,7 @@ func NewSampler(sys *sched.System, pw power.Params) *Sampler {
 		},
 		clusterActive: make([]bool, len(sys.SoC.Clusters)),
 	}
-	m.sampleFn = m.onSample
-	sys.Periodic(&m.sampleEv, SampleInterval, m.sampleFn, m.replay)
+	m.sampleFn = sys.Periodic(&m.sampleEv, SampleInterval, m.sample)
 	return m
 }
 
@@ -140,22 +138,6 @@ func NewSampler(sys *sched.System, pw power.Params) *Sampler {
 func (m *Sampler) Start() {
 	m.sampleEv = m.sys.Eng.After(SampleInterval, m.sampleFn)
 }
-
-func (m *Sampler) onSample(now event.Time) {
-	m.sample(now)
-	m.sampleEv = m.sys.Eng.After(SampleInterval, m.sampleFn)
-}
-
-// replay is a sample a dormant scheduler tick runs inline (see
-// sched.System.Periodic): the same observation at the same clock, counted.
-func (m *Sampler) replay(now event.Time) {
-	m.replayed++
-	m.sample(now)
-}
-
-// Replayed returns how many samples ran inline on a dormant tick instead
-// of through the event queue.
-func (m *Sampler) Replayed() int { return m.replayed }
 
 // sample takes one observation at now.
 func (m *Sampler) sample(now event.Time) {

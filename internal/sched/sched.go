@@ -347,16 +347,23 @@ type periodic struct {
 	seq     uint64
 }
 
-// Periodic registers a subsystem's periodic event with the scheduler tick.
-// ev points at the owner's handle to the pending firing, which the owner
-// keeps current as handler re-arms it every period; fire does one firing's
-// work without re-arming. While the system is dormant, a tick runs these
+// Periodic registers a subsystem's periodic event with the scheduler tick
+// and returns the event's handler, which runs fire and re-arms the event
+// period later into *ev. The owner schedules that handler to start the
+// event (and to restore it from a snapshot) and keeps ev as its handle to
+// the pending firing. While the system is dormant, a tick runs these
 // firings inline at their eager times and in their eager order instead of
 // stopping its elision at each one (see sleep), and leaves the event
 // pending with the (at, seq) key the eager run would have given it. fire
 // must not schedule engine events or wake tasks.
-func (s *System) Periodic(ev *event.Handle, period event.Time, handler, fire event.Handler) {
+func (s *System) Periodic(ev *event.Handle, period event.Time, fire event.Handler) event.Handler {
+	var handler event.Handler
+	handler = func(now event.Time) {
+		fire(now)
+		*ev = s.Eng.After(period, handler)
+	}
 	s.periodics = append(s.periodics, periodic{ev: ev, period: period, handler: handler, fire: fire})
+	return handler
 }
 
 // Start begins the scheduler tick loop.
@@ -893,13 +900,14 @@ func (s *System) dormant() bool {
 // asleep for the whole tick contributes nothing but still decays; as in
 // the kernel's load tracking, the slept periods are decayed into the
 // history when the task is next read — at its wake, or by anything that
-// inspects its load — rather than here (see caughtUp). A bursty task's
-// load therefore converges to its duty cycle rather than its burst
-// intensity.
+// inspects its load — rather than here (see caughtUp); on an Eager engine
+// they are decayed here, every tick. A bursty task's load therefore
+// converges to its duty cycle rather than its burst intensity.
 func (s *System) updateLoads(now event.Time) {
 	tickStart := now - s.tick
+	lazy := s.Eng.Shortcuts()
 	for _, t := range s.tasks {
-		if t.state == Sleeping && t.ranNs == 0 {
+		if lazy && t.state == Sleeping && t.ranNs == 0 {
 			continue
 		}
 		var activeNs event.Time

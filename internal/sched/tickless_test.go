@@ -107,11 +107,7 @@ type testPeriodic struct {
 
 func addPeriodic(s *System, log *[]string, name string, period event.Time, stepper bool) *testPeriodic {
 	p := &testPeriodic{s: s, name: name, period: period, stepper: stepper, log: log}
-	p.handler = func(now event.Time) {
-		p.fire(now)
-		p.ev = s.Eng.After(p.period, p.handler)
-	}
-	s.Periodic(&p.ev, period, p.handler, p.fire)
+	p.handler = s.Periodic(&p.ev, period, p.fire)
 	p.ev = s.Eng.After(period, p.handler)
 	return p
 }

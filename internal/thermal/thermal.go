@@ -67,7 +67,7 @@ type Model struct {
 	sys      *sched.System
 	pw       power.Params
 	sample   event.Time
-	sampleFn event.Handler // cached method value: evaluating m.onSample allocates
+	sampleFn event.Handler // the re-arming handler Periodic built, kept for Start and Restore
 	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
 	lastBusy []event.Time
 	lastDeep []event.Time
@@ -102,18 +102,12 @@ func Attach(sys *sched.System, pw power.Params, par Params) *Model {
 		m.TempC[i] = par.AmbientC
 	}
 	m.MaxTempC = par.AmbientC
-	m.sampleFn = m.onSample
-	sys.Periodic(&m.sampleEv, m.sample, m.sampleFn, m.step)
+	m.sampleFn = sys.Periodic(&m.sampleEv, m.sample, m.step)
 	return m
 }
 
 // Start schedules the periodic thermal sampling.
 func (m *Model) Start() {
-	m.sampleEv = m.sys.Eng.After(m.sample, m.sampleFn)
-}
-
-func (m *Model) onSample(now event.Time) {
-	m.step(now)
 	m.sampleEv = m.sys.Eng.After(m.sample, m.sampleFn)
 }
 
