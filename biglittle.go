@@ -29,9 +29,7 @@ import (
 	"biglittle/internal/check"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/governor"
 	"biglittle/internal/platform"
-	"biglittle/internal/power"
 	"biglittle/internal/profile"
 	"biglittle/internal/sched"
 	"biglittle/internal/session"
@@ -50,7 +48,6 @@ type Time = event.Time
 
 // Convenient durations.
 const (
-	Microsecond = event.Microsecond
 	Millisecond = event.Millisecond
 	Second      = event.Second
 )
@@ -58,10 +55,7 @@ const (
 // App is a benchmark application model (Table II of the paper).
 type App = apps.App
 
-// Metric distinguishes latency-oriented from FPS-oriented applications.
-type Metric = apps.Metric
-
-// Metric values.
+// Metric values: latency-oriented and FPS-oriented applications.
 const (
 	Latency = apps.Latency
 	FPS     = apps.FPS
@@ -72,12 +66,6 @@ func Apps() []App { return apps.All() }
 
 // AppByName looks an application model up by name (e.g. "bbench").
 func AppByName(name string) (App, error) { return apps.ByName(name) }
-
-// LatencyApps returns the seven latency-oriented applications (Figure 4).
-func LatencyApps() []App { return apps.LatencyApps() }
-
-// FPSApps returns the five FPS-oriented applications (Figure 5).
-func FPSApps() []App { return apps.FPSApps() }
 
 // Micro returns the §III-B utilization microbenchmark: a spinner holding
 // dutyPct utilization at pinnedMHz, optionally pinned to core pinCore
@@ -105,8 +93,8 @@ func NewThread(ctx *Ctx, name string, speedup float64) *Thread {
 	return workload.NewThread(ctx, name, speedup)
 }
 
-// InteractionLoop, Periodic, PoissonBursts, Continuous and TouchKicks expose
-// the demand generators used by the bundled app models.
+// InteractionLoop drives a think-time interaction loop on the context's
+// threads.
 func InteractionLoop(ctx *Ctx, cfg InteractionConfig) { workload.InteractionLoop(ctx, cfg) }
 
 // Periodic runs a periodic activity on th.
@@ -117,19 +105,13 @@ func PoissonBursts(ctx *Ctx, th *Thread, meanInterval Time, work, cv float64) {
 	workload.PoissonBursts(ctx, th, meanInterval, work, cv)
 }
 
-// Continuous keeps th fully busy until the run ends.
-func Continuous(ctx *Ctx, th *Thread, segment float64) { workload.Continuous(ctx, th, segment) }
-
-// TouchKicks models the Android input booster's frequency floor on touch.
-func TouchKicks(ctx *Ctx, meanGap Time) { workload.TouchKicks(ctx, meanGap) }
-
 // Mc is one million work cycles (a little core at 1.3 GHz executes 1300 Mc
 // per second).
 const Mc = workload.Mc
 
 // CustomApp builds an application model from workload primitives; it can be
 // passed anywhere a bundled App is accepted.
-func CustomApp(name string, metric Metric, build func(ctx *Ctx)) App {
+func CustomApp(name string, metric apps.Metric, build func(ctx *Ctx)) App {
 	return App{Name: name, Desc: "custom workload", Metric: metric, Build: build}
 }
 
@@ -139,28 +121,8 @@ type Config = core.Config
 // Result holds every metric collected from one run.
 type Result = core.Result
 
-// GovernorKind selects the DVFS policy.
-type GovernorKind = core.GovernorKind
-
-// Governor kinds.
-const (
-	Interactive = core.Interactive
-	Performance = core.Performance
-	Powersave   = core.Powersave
-	Userspace   = core.Userspace
-)
-
-// SchedConfig holds the HMP scheduler tunables (Algorithm 1).
-type SchedConfig = sched.Config
-
-// GovConfig holds the interactive governor tunables (Algorithm 2).
-type GovConfig = governor.InteractiveConfig
-
-// PowerParams is the calibrated whole-system power model.
-type PowerParams = power.Params
-
-// DefaultPower returns the calibrated Exynos 5422 power model.
-func DefaultPower() PowerParams { return power.Default() }
+// Userspace is the governor kind that pins clusters at Config.PinnedMHz.
+const Userspace = core.Userspace
 
 // DefaultConfig returns the paper's baseline configuration for app: L4+B4,
 // HMP scheduler with 700/256 thresholds and 32 ms load half-life, the
@@ -185,9 +147,6 @@ func BaselineCores() CoreConfig { return platform.Baseline() }
 // CoreModel describes one core microarchitecture for trace-driven runs.
 type CoreModel = uarch.Model
 
-// TraceResult summarizes one trace-driven run.
-type TraceResult = uarch.Result
-
 // SPECProfile statistically describes a SPEC-like workload.
 type SPECProfile = synth.Profile
 
@@ -202,13 +161,13 @@ func SPECProfiles() []SPECProfile { return synth.SPEC() }
 
 // RunTrace replays a workload profile on a core model at freqMHz;
 // instructions <= 0 uses the profile's default trace length.
-func RunTrace(m CoreModel, p SPECProfile, freqMHz, instructions int) TraceResult {
+func RunTrace(m CoreModel, p SPECProfile, freqMHz, instructions int) uarch.Result {
 	return uarch.Run(m, p, freqMHz, instructions)
 }
 
 // TraceSpeedup returns how much faster candidate completed the same
 // workload than baseline.
-func TraceSpeedup(candidate, baseline TraceResult) float64 {
+func TraceSpeedup(candidate, baseline uarch.Result) float64 {
 	return uarch.Speedup(candidate, baseline)
 }
 
@@ -242,12 +201,8 @@ type TelemetryKind = telemetry.Kind
 const (
 	EvMigration = telemetry.KindMigration
 	EvWake      = telemetry.KindWake
-	EvPreempt   = telemetry.KindPreempt
-	EvBoost     = telemetry.KindBoost
 	EvFreq      = telemetry.KindFreq
 	EvGovernor  = telemetry.KindGovernor
-	EvHotplug   = telemetry.KindHotplug
-	EvThrottle  = telemetry.KindThrottle
 	EvPower     = telemetry.KindPower
 )
 
@@ -271,16 +226,10 @@ type XraySpan = xray.Span
 // cmd/blxray consumes).
 type XrayDump = xray.Dump
 
-// XrayKind classifies decision spans.
-type XrayKind = xray.Kind
-
 // Xray span kinds.
 const (
 	XrayKindWake      = xray.KindWake
 	XrayKindMigration = xray.KindMigration
-	XrayKindFreq      = xray.KindFreq
-	XrayKindHotplug   = xray.KindHotplug
-	XrayKindThrottle  = xray.KindThrottle
 )
 
 // NewXray creates an enabled causal decision tracer with the default
@@ -302,52 +251,21 @@ type Profiler = profile.Profiler
 // attribution tables; take one with Profiler.Snapshot.
 type ProfileSnapshot = profile.Snapshot
 
-// TaskProfile is one task's row of a ProfileSnapshot.
-type TaskProfile = profile.TaskSnapshot
-
 // NewProfiler creates an enabled per-task attribution profiler.
 func NewProfiler() *Profiler { return profile.New() }
-
-// SchedulerKind selects the thread-to-core mapping policy (§IV-A).
-type SchedulerKind = core.SchedulerKind
-
-// Scheduler kinds.
-const (
-	HMP              = core.HMP
-	EfficiencyBased  = core.EfficiencyBased
-	ParallelismAware = core.ParallelismAware
-	EAS              = core.EAS
-)
-
-// Additional governor kinds (§IV-D lineage).
-const (
-	Ondemand        = core.Ondemand
-	ConservativeGov = core.Conservative
-	PASTGov         = core.PAST
-)
-
-// ThermalParams configures the per-cluster thermal model and throttling.
-type ThermalParams = thermal.Params
 
 // DefaultThermal returns thermal parameters calibrated so sustained
 // multi-core big-cluster load throttles in ~10-15 s while the twelve
 // interactive app models never trip.
-func DefaultThermal() ThermalParams { return thermal.Default() }
+func DefaultThermal() thermal.Params { return thermal.Default() }
 
 // Stress returns a synthetic stress-test workload of n sustained CPU-bound
 // threads.
 func Stress(n int) App { return apps.Stress(n) }
 
-// WorkloadSpec is the JSON document format for defining application models
-// without recompiling; see the internal/spec package documentation for the
-// schema and LoadSpec/CompileSpec to build an App from it.
-type WorkloadSpec = spec.File
-
-// LoadSpec parses a JSON workload document into a runnable App.
+// LoadSpec parses a JSON workload document into a runnable App; see the
+// internal/spec package documentation for the schema.
 func LoadSpec(data []byte) (App, error) { return spec.Parse(data) }
-
-// CompileSpec validates an already-decoded WorkloadSpec into an App.
-func CompileSpec(f WorkloadSpec) (App, error) { return spec.Compile(f) }
 
 // SessionPhase is one app segment of a multi-app usage session.
 type SessionPhase = session.Phase
@@ -355,19 +273,16 @@ type SessionPhase = session.Phase
 // SessionConfig describes a session run.
 type SessionConfig = session.Config
 
-// SessionResult summarizes a session with per-phase metrics.
-type SessionResult = session.Result
-
 // NewSession returns a session on the paper's baseline platform with the
 // Galaxy S5 battery.
 func NewSession(phases ...SessionPhase) SessionConfig { return session.DefaultConfig(phases...) }
 
 // RunSession executes a multi-app session: phases run back to back on one
 // platform, with governor and load-tracker state carried across switches.
-func RunSession(cfg SessionConfig) SessionResult { return session.Run(cfg) }
+func RunSession(cfg SessionConfig) session.Result { return session.Run(cfg) }
 
 // RenderSession formats a session result.
-func RenderSession(r SessionResult) string { return session.Render(r) }
+func RenderSession(r session.Result) string { return session.Render(r) }
 
 // LiveSession is an incrementally-advanced session: the same assembly and
 // phase sequencing as RunSession, but the caller controls how far simulated
@@ -381,9 +296,6 @@ func NewLiveSession(cfg SessionConfig) *LiveSession { return session.NewLive(cfg
 // GalaxyS5Pack returns the paper device's battery.
 func GalaxyS5Pack() battery.Pack { return battery.GalaxyS5() }
 
-// BatteryPack describes a battery for session drain accounting.
-type BatteryPack = battery.Pack
-
 // Auditor is the runtime invariant checker. Set one as Config.Check (or
 // SessionConfig.Check) to continuously verify the simulator's conservation
 // laws during a run — legal cluster frequencies, the "one little core always
@@ -394,14 +306,6 @@ type BatteryPack = battery.Pack
 // one pointer check per hook site.
 type Auditor = check.Auditor
 
-// CheckReport is an auditor's final accounting: counters, reconciled totals,
-// and every violation found.
-type CheckReport = check.Report
-
-// CheckViolation is one invariant violation (timestamp, invariant name,
-// detail).
-type CheckViolation = check.Violation
-
 // NewAuditor creates an enabled invariant auditor.
 func NewAuditor() *Auditor { return check.New() }
 
@@ -409,4 +313,4 @@ func NewAuditor() *Auditor { return check.New() }
 // cross-metric identities that must hold however the run went. It needs no
 // live system, so it also applies to results loaded from the lab cache or a
 // JSON file.
-func CheckResult(r Result) []CheckViolation { return check.CheckResult(r) }
+func CheckResult(r Result) []check.Violation { return check.CheckResult(r) }

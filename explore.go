@@ -12,7 +12,7 @@ type ExploreSpace = explore.Space
 // ExploreDim is one axis of an ExploreSpace.
 type ExploreDim = explore.Dim
 
-// ExploreOptions tunes one exploration: the LabRunner executing rungs, the
+// ExploreOptions tunes one exploration: the lab runner executing rungs, the
 // scalar objective, a simulated-time budget, the halving factor, the
 // finalist count, and the screening-fidelity floor.
 type ExploreOptions = explore.Options
@@ -22,20 +22,9 @@ type ExploreOptions = explore.Options
 // and the planned versus exhaustive simulation costs.
 type ExploreReport = explore.Report
 
-// ExplorePoint is one evaluated configuration on (or off) the frontier.
-type ExplorePoint = explore.Point
-
-// ExploreObjective is the scalar the search minimizes when ranking
-// candidates within a rung.
-type ExploreObjective = explore.Objective
-
-// The explore objectives: total energy, energy-delay product (the paper's
-// preferred single-number efficiency metric), and delay alone.
-const (
-	ExploreEnergy  = explore.Energy
-	ExploreEDP     = explore.EDP
-	ExploreRuntime = explore.Runtime
-)
+// ExploreEDP is the energy-delay-product objective, the paper's preferred
+// single-number efficiency metric.
+const ExploreEDP = explore.EDP
 
 // Explore searches the space for the Pareto front of (energy, delay) by
 // successive halving: short snapshot-forked runs screen the whole space
@@ -58,7 +47,7 @@ func ExploreExhaustive(space ExploreSpace, opts ExploreOptions) (*ExploreReport,
 func SameExploreFrontier(a, b *ExploreReport) bool { return explore.SameFrontier(a, b) }
 
 // ParseExploreObjective parses "energy", "edp", or "runtime".
-func ParseExploreObjective(s string) (ExploreObjective, error) { return explore.ParseObjective(s) }
+func ParseExploreObjective(s string) (explore.Objective, error) { return explore.ParseObjective(s) }
 
 // ParseExploreDim parses one "key=v1,v2,v3" dimension spec.
 func ParseExploreDim(spec string) (ExploreDim, error) { return explore.ParseDim(spec) }

@@ -10,19 +10,8 @@ import (
 	"biglittle/internal/xray"
 )
 
-// DigestRecorder folds a rolling hash of simulator state into chained
-// per-window digests — the run's fingerprint and the substrate cross-run
-// diffing bisects. Set one as Config.Digest (or SessionConfig.Digest). Like
-// the other observers it is pure: a digested run produces byte-identical
-// results, and nil disables recording at zero cost.
-type DigestRecorder = delta.Recorder
-
 // DigestChain is a sealed digest chain: one cumulative digest per window.
 type DigestChain = delta.Chain
-
-// DigestStep is one full-rate state capture inside the recorder's
-// [FullFrom, FullTo) range.
-type DigestStep = delta.Step
 
 // FieldDelta is one differing field between two structurally diffed values.
 type FieldDelta = delta.FieldDelta
@@ -30,8 +19,13 @@ type FieldDelta = delta.FieldDelta
 // DiffTolerance marks when a numeric difference counts as significant.
 type DiffTolerance = delta.Tolerance
 
-// NewDigestRecorder returns a recorder with the default ~1k-window chain.
-func NewDigestRecorder() *DigestRecorder { return &delta.Recorder{} }
+// NewDigestRecorder returns a recorder with the default ~1k-window chain. It
+// folds a rolling hash of simulator state into chained per-window digests —
+// the run's fingerprint and the substrate cross-run diffing bisects. Set one
+// as Config.Digest (or SessionConfig.Digest). Like the other observers it is
+// pure: a digested run produces byte-identical results, and nil disables
+// recording at zero cost.
+func NewDigestRecorder() *delta.Recorder { return &delta.Recorder{} }
 
 // FirstDivergentWindow returns the first window where two digest chains
 // disagree, or -1 when one is a prefix of the other.
@@ -50,11 +44,6 @@ func SignificantDeltas(ds []FieldDelta) []FieldDelta { return delta.Significant(
 // DiffSummary renders up to max deltas one per line ("(no differences)" for
 // an empty list; max <= 0 prints all).
 func DiffSummary(ds []FieldDelta, max int) string { return delta.Summarize(ds, max) }
-
-// DiffProfiles diffs two attribution snapshots with tasks aligned by name.
-func DiffProfiles(a, b ProfileSnapshot, tol DiffTolerance) []FieldDelta {
-	return delta.DiffProfiles(a, b, tol)
-}
 
 // FirstDivergentXraySpan aligns two span streams and returns the index of
 // the first pair that is not the same decision (span identity and

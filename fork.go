@@ -9,7 +9,7 @@ import (
 // simulation's complete state, serialize it, and resume it any number of
 // times — a fork continued to time T is byte-identical to a from-scratch
 // run to T. Sweeps that vary only post-fork knobs run one warmed prefix
-// and fork N cheap continuations (see Lab.ForkSpec and blsweep -fork-at).
+// and fork N cheap continuations (see LabForkSpec and blsweep -fork-at).
 
 // Snapshot is one captured whole-simulation state.
 type Snapshot = snapshot.State
@@ -25,10 +25,6 @@ func NewSim(cfg Config) (*Sim, error) { return core.NewSim(cfg) }
 // must match the snapshot's identity (app, seed, topology); policy knobs
 // may differ and take effect at the fork point.
 func Resume(cfg Config, st *Snapshot) (*Sim, error) { return core.Resume(cfg, st) }
-
-// RunForked runs cfg to at, snapshots, round-trips the snapshot through
-// the wire codec, and resumes to completion — byte-identical to Run(cfg).
-func RunForked(cfg Config, at Time) (Result, error) { return core.RunForked(cfg, at) }
 
 // EncodeSnapshot serializes a snapshot into its versioned, checksummed
 // wire form.

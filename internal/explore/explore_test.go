@@ -64,6 +64,10 @@ func TestSpaceEnumeration(t *testing.T) {
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate dim must fail, got %v", err)
 	}
+	bad.Dims = []Dim{{Key: "sample-ms", Values: []string{"20", "40", "20"}}}
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), `"sample-ms"`) || !strings.Contains(err.Error(), `"20"`) {
+		t.Fatalf("repeated dim value must fail naming the key and value, got %v", err)
+	}
 	bad = s
 	bad.Dims = []Dim{{Key: "warp-factor", Values: []string{"9"}}}
 	if err := bad.Validate(); err == nil {

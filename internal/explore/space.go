@@ -13,6 +13,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"biglittle/internal/cli"
@@ -74,7 +75,10 @@ func (s *Space) Validate() error {
 			return fmt.Errorf("explore: dimension %q declared twice", d.Key)
 		}
 		seen[d.Key] = true
-		for _, v := range d.Values {
+		for i, v := range d.Values {
+			if slices.Contains(d.Values[:i], v) {
+				return fmt.Errorf("explore: dimension %q lists value %q twice", d.Key, v)
+			}
 			cfg := s.Base
 			if err := cli.ApplyOverrides(&cfg, d.Key+"="+v); err != nil {
 				return fmt.Errorf("explore: dimension %q: %w", d.Key, err)

@@ -277,9 +277,11 @@ func (c CoreConfig) String() string {
 	return s
 }
 
-// ParseCoreConfig parses "L4+B4", "L2", "L2+B1" style notation.
+// ParseCoreConfig parses "L4+B4", "L2", "L2+B1" style notation, naming each
+// cluster at most once.
 func ParseCoreConfig(s string) (CoreConfig, error) {
 	var cfg CoreConfig
+	seen := map[*int]bool{}
 	for _, part := range strings.Split(s, "+") {
 		part = strings.TrimSpace(part)
 		if len(part) < 2 {
@@ -289,16 +291,22 @@ func ParseCoreConfig(s string) (CoreConfig, error) {
 		if err != nil {
 			return cfg, fmt.Errorf("platform: bad core config part %q: %v", part, err)
 		}
+		var count *int
 		switch part[0] {
 		case 'L', 'l':
-			cfg.Little = n
+			count = &cfg.Little
 		case 'B', 'b':
-			cfg.Big = n
+			count = &cfg.Big
 		case 'T', 't':
-			cfg.Tiny = n
+			count = &cfg.Tiny
 		default:
 			return cfg, fmt.Errorf("platform: bad core config part %q", part)
 		}
+		if seen[count] {
+			return cfg, fmt.Errorf("platform: core config %q names cluster %c twice", s, part[0]&^0x20)
+		}
+		seen[count] = true
+		*count = n
 	}
 	if cfg.Little < 1 || cfg.Little > 4 || cfg.Big < 0 || cfg.Big > 4 || cfg.Tiny < 0 || cfg.Tiny > 2 {
 		return cfg, fmt.Errorf("platform: core config %v out of range (1-4 little, 0-4 big, 0-2 tiny)", cfg)

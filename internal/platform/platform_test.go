@@ -97,7 +97,7 @@ func TestParseCoreConfig(t *testing.T) {
 			t.Errorf("ParseCoreConfig(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "B4", "L0+B1", "L5", "X2", "L+B", "L2+B9"} {
+	for _, bad := range []string{"", "B4", "L0+B1", "L5", "X2", "L+B", "L2+B9", "L4+L1", "L4+B4+B1"} {
 		if _, err := ParseCoreConfig(bad); err == nil {
 			t.Errorf("ParseCoreConfig(%q) succeeded, want error", bad)
 		}
